@@ -17,7 +17,6 @@ indexed 1..n in the public API.  Provided here:
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,7 @@ from .errors import (
     FileFormatError,
     GeneralPositionError,
 )
-from .exactnum import Mat, Rat, inverse, kernel_basis, rat, rat_str, _int_det
+from .exactnum import Mat, Rat, integer_rescaling, inverse, kernel_basis, rat, rat_str, _int_det
 
 
 @dataclass(frozen=True)
@@ -61,14 +60,7 @@ def integer_columns(v: VectorConfig) -> list[tuple[int, ...]]:
     Positive rescaling never changes a sign pattern, so enumeration code
     can work in pure integer arithmetic.
     """
-    out = []
-    for j in range(v.n):
-        col = v.mat.col(j)
-        lcm = 1
-        for x in col:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        out.append(tuple(int(x * lcm) for x in col))
-    return out
+    return [tuple(integer_rescaling(v.mat.col(j))[1]) for j in range(v.n)]
 
 
 def _check_general_position(r: int, n: int, icols: list[tuple[int, ...]]) -> None:
@@ -93,6 +85,11 @@ def new_config(r: int, n: int, entries: Sequence[Sequence[int | str | Fraction]]
     v = VectorConfig(r, n, mat)
     _check_general_position(r, n, integer_columns(v))
     return v
+
+
+def moment_point(t: int | Rat, d: int) -> tuple[Rat, ...]:
+    """The point (t, t^2, ..., t^d) of the moment curve in R^d."""
+    return tuple(Fraction(t) ** e for e in range(1, d + 1))
 
 
 def _moment_columns(r: int, params: Sequence[Rat]) -> list[list[Rat]]:
@@ -286,7 +283,8 @@ def config_from_json(obj: object) -> VectorConfig:
         if key not in obj:
             raise FileFormatError(f"configuration missing field '{key}'")
     r, n, vectors = obj["r"], obj["n"], obj["vectors"]
-    if not isinstance(r, int) or not isinstance(n, int):
+    # JSON true/false load as bool, a subclass of int, so compare types
+    if type(r) is not int or type(n) is not int:
         raise FileFormatError("fields 'r' and 'n' must be integers")
     if not isinstance(vectors, list) or len(vectors) != n:
         raise FileFormatError(f"field 'vectors' must list {n} columns")

@@ -152,21 +152,29 @@ class Mat:
         return all(v == 0 for row in self.entries for v in row)
 
 
+def integer_rescaling(values: Sequence[Rat]) -> tuple[int, list[int]]:
+    """The least common denominator c of values and the integers c*v.
+
+    Rescaling by the positive c keeps every sign and multiplies a
+    determinant row by c, so integer-only code can work on the result.
+    """
+    lcm = math.lcm(*(v.denominator for v in values))
+    return lcm, [v.numerator * (lcm // v.denominator) for v in values]
+
+
 def det(m: Mat) -> Rat:
     """Exact determinant via integer rescaling + Bareiss elimination."""
     if m.nrows != m.ncols:
         raise DimensionError("determinant of a non-square matrix")
     if m.nrows == 0:
         return _ONE
-    scale = _ONE
+    scale = 1
     int_rows: list[list[int]] = []
     for row in m.entries:
-        lcm = 1
-        for v in row:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+        lcm, ints = integer_rescaling(row)
         scale *= lcm
-        int_rows.append([int(v * lcm) for v in row])
-    return Fraction(_int_det(int_rows), 1) / scale
+        int_rows.append(ints)
+    return Fraction(_int_det(int_rows), scale)
 
 
 def _row_echelon(m: Mat) -> tuple[list[list[Rat]], list[int]]:

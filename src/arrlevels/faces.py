@@ -160,11 +160,12 @@ class FMatrix:
         if not isinstance(obj, dict) or not all(k in obj for k in ("d", "n", "rows")):
             raise FileFormatError("f-matrix JSON needs fields 'd', 'n', 'rows'")
         d, n, rows = obj["d"], obj["n"], obj["rows"]
-        if not isinstance(d, int) or not isinstance(n, int) or not isinstance(rows, list):
+        # JSON true/false load as bool, a subclass of int, so compare types
+        if type(d) is not int or type(n) is not int or not isinstance(rows, list):
             raise FileFormatError("f-matrix fields have wrong types")
         clean = []
         for si, row in enumerate(rows):
-            if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+            if not isinstance(row, list) or not all(type(x) is int for x in row):
                 raise FileFormatError(f"f-matrix row {si} must be a list of integers")
             clean.append(tuple(row))
         return FMatrix(d, n, tuple(clean))

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .config import VectorConfig, gen_cyclic, new_config
+from .config import VectorConfig, gen_cyclic, moment_point, new_config
 from .errors import (
     BudgetExhaustedError,
     DimensionError,
     GeneralPositionError,
     GenericityError,
+    InconsistentInputError,
 )
 from .exactnum import (
     Mat,
@@ -40,7 +41,7 @@ from .exactnum import (
     rat,
     squarefree_part,
 )
-from .gmatrix import GMatrix, g_of_pair
+from .gmatrix import GMatrix
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,12 @@ def _classify(
     for m in range(n):
         col = _column_at(v, w, m, t_plus)
         val = sum(a * b for a, b in zip(col, point))
-        assert val != 0, "interior sample point lies on a hyperplane"
+        if val == 0:
+            raise GenericityError(
+                (tuple(i + 1 for i in subset),),
+                f"interior sample point of the cell after columns {[i + 1 for i in subset]}"
+                f" lies on the hyperplane of column {m + 1}",
+            )
         if val < 0:
             if m in members:
                 j += 1
@@ -210,21 +216,15 @@ class _RootItem:
         self.interval = interval
 
 
-def _gap_sample_points(items: list[_RootItem]) -> list[Rat]:
-    out = []
-    for idx, item in enumerate(items):
-        nxt = items[idx + 1].interval[0] if idx + 1 < len(items) else rat(1)
-        out.append((item.interval[1] + nxt) / 2)
-    return out
+def gap_samples(intervals: list[tuple[Rat, Rat]]) -> list[Rat]:
+    """One rational time strictly after each event and before the next.
 
-
-def gap_samples(path: MotionPath) -> list[Rat]:
-    """One rational time strictly after each event and before the next."""
-    out = []
-    for idx, ev in enumerate(path.events):
-        nxt = path.events[idx + 1].interval[0] if idx + 1 < len(path.events) else rat(1)
-        out.append((ev.interval[1] + nxt) / 2)
-    return out
+    intervals are the disjoint, sorted isolating intervals of the events
+    on (0, 1), for instance [ev.interval for ev in path.events].
+    """
+    ends = [b for _, b in intervals]
+    starts = [a for a, _ in intervals[1:]] + [rat(1)]
+    return [(b + a) / 2 for b, a in zip(ends, starts)]
 
 
 def _validate_small_subsets(v: VectorConfig, w: VectorConfig) -> None:
@@ -300,13 +300,18 @@ def detect_mutations(v: VectorConfig, w: VectorConfig) -> MotionPath:
             tuple(tuple(i + 1 for i in it.subset) for it in items),
             "event intervals failed to separate",
         )
-    samples = _gap_sample_points(items)
+    samples = gap_samples([item.interval for item in items])
     events = []
     for item, t_plus in zip(items, samples):
         raw = _classify(v, w, item.subset, item.interval, item.sqfree, t_plus, False)
         before = _sign(item.poly(item.interval[0]))
         after = _sign(item.poly(item.interval[1]))
-        assert before == -after and before != 0
+        if before != -after or before == 0:
+            raise GenericityError(
+                (tuple(i + 1 for i in item.subset),),
+                f"determinant of columns {[i + 1 for i in item.subset]} does not change sign"
+                f" across its root in {[str(x) for x in item.interval]}",
+            )
         events.append(
             MutationEvent(
                 subset=tuple(i + 1 for i in item.subset),
@@ -330,7 +335,7 @@ def classify_event(path: MotionPath, index: int, antipodal: bool = False) -> tup
     ev = path.events[index]
     subset = tuple(i - 1 for i in ev.subset)
     poly = _det_poly(path.start, path.end, subset)
-    t_plus = gap_samples(path)[index]
+    t_plus = gap_samples([e.interval for e in path.events])[index]
     return _classify(
         path.start, path.end, subset, ev.interval, squarefree_part(poly), t_plus, antipodal
     )
@@ -350,8 +355,8 @@ def _increment_rows(r: int, n: int, jk: tuple[int, int]) -> list[list[int]]:
 def g_from_motion(v: VectorConfig, w: VectorConfig) -> GMatrix:
     """Sum of per-event increments along the straight-line motion.
 
-    Cross-checked against the algebraic route from the two enumerated
-    f-matrices; genericity errors propagate to the caller, which may
+    Independent of the algebraic route (g_of_pair), so comparing the two
+    is a real check; genericity errors propagate to the caller, which may
     perturb the endpoint and retry.
     """
     path = detect_mutations(v, w)
@@ -362,9 +367,7 @@ def g_from_motion(v: VectorConfig, w: VectorConfig) -> GMatrix:
         for j in range(r + 1):
             for k in range(n - r + 1):
                 rows[j][k] += inc[j][k]
-    result = GMatrix(r, n, tuple(tuple(row) for row in rows))
-    assert result == g_of_pair(v, w), "motion route disagrees with algebraic route"
-    return result
+    return GMatrix(r, n, tuple(tuple(row) for row in rows))
 
 
 def events_to_json(path: MotionPath) -> list[dict]:
@@ -428,10 +431,6 @@ def _affine_coords(points: list[tuple[Rat, ...]], target: list[Rat]) -> list[Rat
     return [rows[i][d] for i in range(d)]
 
 
-def _moment_point(i: int, d: int) -> tuple[Rat, ...]:
-    return tuple(rat(i) ** e for e in range(1, d + 1))
-
-
 def _hyperplane_normal(points: list[tuple[Rat, ...]]) -> list[Rat] | None:
     """A nonzero vector orthogonal to the affine hull of d points in R^d."""
     d = len(points)
@@ -472,7 +471,7 @@ def mutation_rich_path(n: int, r: int, seed: int) -> list[VectorConfig]:
     if not required:
         return [gen_cyclic(n, r)]
     d = r - 1
-    anchors = [_moment_point(i, d) for i in range(1, d + 1)]
+    anchors = [moment_point(i, d) for i in range(1, d + 1)]
     normal = _hyperplane_normal(anchors)
     if normal is None:
         raise BudgetExhaustedError("stationary anchor points are degenerate")
@@ -529,7 +528,11 @@ def mutation_rich_path(n: int, r: int, seed: int) -> list[VectorConfig]:
                 continue
             if required <= seen:
                 for cfg in outputs:
-                    assert all(cfg.column(i + 1)[0] == 1 for i in range(n))
+                    for i, x in enumerate(cfg.mat.row(0), start=1):
+                        if x != 1:
+                            raise InconsistentInputError(
+                                f"sweep output is not pointed: column {i} has first coordinate {x}"
+                            )
                 return outputs
             break
         eps /= 2
@@ -588,7 +591,7 @@ def _run_segments(configs: list[VectorConfig]) -> tuple[list[VectorConfig], set[
     seen: set[tuple[int, int]] = set()
     for a, b in zip(configs, configs[1:]):
         path = detect_mutations(a, b)
-        samples = gap_samples(path)
+        samples = gap_samples([ev.interval for ev in path.events])
         for ev, t_plus in zip(path.events, samples):
             seen.add(ev.type_jk)
             outputs.append(interpolated_config(a, b, t_plus))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .config import VectorConfig, gen_cocyclic, gen_cyclic, gen_random, new_config
+from .config import VectorConfig, gen_cocyclic, gen_cyclic, gen_random, moment_point, new_config
 from .errors import DimensionError, GeneralPositionError, InconsistentInputError
 from .exactnum import Mat, Rat, rank, rat
 from .faces import f_matrix
@@ -32,7 +32,11 @@ class SpanReport:
     basis_seeds: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        assert self.achieved_rank <= self.theoretical_dim
+        if self.achieved_rank > self.theoretical_dim:
+            raise InconsistentInputError(
+                f"rank {self.achieved_rank} exceeds the span dimension {self.theoretical_dim}"
+                f" for shape ({self.n},{self.r}), mode {self.mode!r}"
+            )
 
     @property
     def full_rank(self) -> bool:
@@ -103,10 +107,6 @@ def _flatten_small(g, mode: str) -> tuple[Rat, ...]:
     return tuple(rat(x) for row in rows for x in row)
 
 
-def _moment_point(d: int, t: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(t) ** i for i in range(1, d + 1))
-
-
 def _mix(points, weights, d: int) -> tuple[Fraction, ...]:
     total = sum(weights)
     return tuple(
@@ -135,7 +135,7 @@ def _pointed_anchors(n: int, r: int):
     # deterministic families with interior points at different depths
     # contribute directions the random pool would miss
     d = r - 1
-    outer = [_moment_point(d, t) for t in range(n - 1)]
+    outer = [moment_point(t, d) for t in range(n - 1)]
     cen = _mix(outer, [1] * len(outer), d)
     anchors = [(_nudged_lift(n, r, outer, [cen], 1), "interior(deep)")]
     if len(outer) >= 2:

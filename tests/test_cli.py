@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from arrlevels import cli
+from arrlevels import cli, motion
 from arrlevels.config import config_from_json
 from arrlevels.faces import f_matrix
 from arrlevels.relations import RelationReport
@@ -68,6 +68,21 @@ def test_g_via_both_agreement(capsys, pair53):
     assert obj["small_g"] == [[1], [2]]
     assert obj["agreement"] is True
     assert obj["via"] == "both"
+
+
+def test_g_via_both_reports_disagreement(capsys, monkeypatch, pair53):
+    src, dst = pair53
+    increment = motion._increment_rows
+    monkeypatch.setattr(
+        motion,
+        "_increment_rows",
+        lambda r, n, jk: [[-x for x in row] for row in increment(r, n, jk)],
+    )
+    code, out, err = run(capsys, ["g", "--from", src, "--to", dst, "--via", "both"])
+    assert code == 1
+    assert '"agreement": false' in out
+    assert json.loads(out)["small_g"] == [[1], [2]]
+    assert "g: route disagreement" in err
 
 
 def test_g_via_motion_nongeneric_path_is_input_error(capsys, tmp_path):
@@ -197,6 +212,15 @@ def test_bad_json_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, ["faces", str(path)])
     assert code == 2
     assert "invalid JSON" in err
+
+
+def test_boolean_rank_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"r": true, "n": 2, "vectors": [["1"], ["2"]]}')
+    code, out, err = run(capsys, ["faces", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "must be integers" in err
 
 
 def test_random_gen_requires_seed(capsys):

@@ -180,6 +180,18 @@ def test_fmatrix_json_and_csv():
         FMatrix.from_json({"d": 1, "n": 3})
 
 
+def test_fmatrix_json_rejects_booleans():
+    good = {"d": 1, "n": 3, "rows": [[1, 2, 2, 1], [2, 2, 2, 0]]}
+    assert FMatrix.from_json(good).rows == f_matrix(TRIANGLE).rows
+    for bad in (
+        dict(good, d=True),
+        dict(good, n=True),
+        dict(good, rows=[[True, 2, 2, 1], [2, 2, 2, False]]),
+    ):
+        with pytest.raises(FileFormatError):
+            FMatrix.from_json(bad)
+
+
 def test_patterns_to_json_strings():
     out = patterns_to_json(dissection_patterns(TRIANGLE))
     assert "+++" in out

@@ -22,6 +22,8 @@ from arrlevels.gmatrix import (
     small_from_full,
     small_g_is_nonnegative,
 )
+from arrlevels.poly2 import BiPoly
+from arrlevels.relations import binom
 
 
 def _add_grid(fm: FMatrix, delta) -> FMatrix:
@@ -40,6 +42,39 @@ def _random_skew(rng: random.Random, r: int, n: int) -> GMatrix:
     from arrlevels.gmatrix import SmallGMatrix
 
     return full_from_small(SmallGMatrix(r, n, tuple(tuple(row) for row in small)))
+
+
+def _delta_f_by_expansion(g: GMatrix) -> list[list[int]]:
+    """Oracle for delta_f_from_g: expand sum g_{j,k} (x+y)^j (1+x)^(r-j) y^k
+    as a polynomial and read off all r+1 rows of coefficients."""
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+    xy, x1 = x.add(y), x.add(BiPoly.const(1))
+    total = BiPoly.zero()
+    for j in range(g.r + 1):
+        for k in range(g.n - g.r + 1):
+            if g.entry(j, k):
+                total = total.add(xy.pow(j).mul(x1.pow(g.r - j)).mul(y.pow(k)).scale(g.entry(j, k)))
+    grid = [[0] * (g.n + 1) for _ in range(g.r + 1)]
+    for (dx, dy), c in total.terms.items():
+        assert c.denominator == 1 and dx <= g.r and dy <= g.n
+        grid[dx][dy] = int(c)
+    return grid
+
+
+def _closed_form_identities_hold(n: int, r: int) -> bool:
+    """Oracle for g_closed_form_neighborly: every entry is positive, the
+    partial sums over j of each column collapse to one binomial product,
+    and the top row is C(k+r-1, r-1)."""
+    sm = g_closed_form_neighborly(n, r)
+    cols = range((n - r - 1) // 2 + 1)
+    for j in range((r - 1) // 2 + 1):
+        for k in cols:
+            if sm.rows[j][k] <= 0:
+                return False
+            cumulative = sum(sm.rows[jj][k] for jj in range(j + 1))
+            if cumulative != binom(n - k - r + j, j) * binom(k + r - 1 - j, k):
+                return False
+    return all(sm.rows[0][k] == binom(k + r - 1, r - 1) for k in cols)
 
 
 MOTION_G = GMatrix(2, 3, ((1, -1), (0, 0), (-1, 1)))
@@ -81,6 +116,18 @@ def test_delta_f_row_sums_always_vanish():
         assert all(sum(row) == 0 for row in delta_f_from_g(g))
 
 
+def test_delta_f_matches_polynomial_expansion():
+    rng = random.Random(23)
+    gs = [MOTION_G] + [_random_skew(rng, r, n) for r, n in ((2, 5), (3, 6), (4, 7), (5, 8))]
+    for n, r, seed in ((5, 3, 71), (6, 3, 73), (6, 4, 75), (7, 4, 77), (7, 3, 79)):
+        gs.append(g_of_pair(gen_random(n, r, seed=seed), gen_random(n, r, seed=seed + 1)))
+    assert sum(not g.is_zero() for g in gs) >= 8
+    for g in gs:
+        expanded = _delta_f_by_expansion(g)
+        assert all(x == 0 for x in expanded[g.r])
+        assert [list(row) for row in delta_f_from_g(g)] == expanded[: g.r]
+
+
 def test_g_from_equal_matrices_is_zero():
     fm = f_matrix(gen_cyclic(5, 3))
     assert g_from_fmatrices(fm, fm).is_zero()
@@ -96,6 +143,11 @@ def test_closed_form_positive():
     for n, r in ((5, 3), (6, 3), (7, 4), (8, 5), (6, 2)):
         sm = g_closed_form_neighborly(n, r)
         assert all(x > 0 for row in sm.rows for x in row)
+
+
+def test_closed_form_partial_sums_and_top_row():
+    for n, r in ((5, 3), (6, 3), (7, 3), (7, 4), (8, 5), (6, 2), (9, 4), (10, 5)):
+        assert _closed_form_identities_hold(n, r), (n, r)
 
 
 def test_algebraic_route_matches_closed_form():
@@ -168,6 +220,28 @@ def test_inversion_rejects_fake_counts():
     bad = FMatrix(fm.d, fm.n, tuple(tuple(r) for r in rows))
     with pytest.raises(InconsistentInputError):
         g_from_fmatrices(fm, bad)
+    # reproduced exactly by a g with zero column sums that is not skew
+    not_skew = GMatrix(3, 5, ((1, 0, 0), (-1, 0, 0), (0, 0, 0), (0, 0, 0)))
+    with pytest.raises(InconsistentInputError, match="skew"):
+        g_from_fmatrices(fm, _add_grid(fm, delta_f_from_g(not_skew)))
+
+
+def test_inversion_rejects_every_unit_corruption():
+    # a skew g maps to a difference with zero row sums, so no single-entry
+    # change of either input is the image of any g
+    rejected = 0
+    for n, r in ((4, 2), (5, 3), (6, 3), (7, 4), (8, 5)):
+        fv, fw = f_matrix(gen_cocyclic(n, r)), f_matrix(gen_cyclic(n, r))
+        for s in range(fv.d + 1):
+            for t in range(fv.n + 1):
+                for step in (1, -1):
+                    delta = [[0] * (n + 1) for _ in range(r)]
+                    delta[s][t] = step
+                    for a, b in ((_add_grid(fv, delta), fw), (fv, _add_grid(fw, delta))):
+                        with pytest.raises(InconsistentInputError):
+                            g_from_fmatrices(a, b)
+                        rejected += 1
+    assert rejected == 504
 
 
 def test_contraction_identity_holds():

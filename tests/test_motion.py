@@ -85,7 +85,7 @@ def test_intervals_disjoint_and_sorted():
 
 def test_gap_samples_bracket_events():
     path = detect_mutations(V3, W3)
-    samples = gap_samples(path)
+    samples = gap_samples([ev.interval for ev in path.events])
     assert len(samples) == len(path.events)
     assert path.events[0].interval[1] < samples[0] < path.events[1].interval[0]
     assert path.events[-1].interval[1] < samples[-1] < Fraction(1)
@@ -93,7 +93,7 @@ def test_gap_samples_bracket_events():
 
 def test_f_constant_between_events():
     path = detect_mutations(V3, W3)
-    samples = gap_samples(path)
+    samples = gap_samples([ev.interval for ev in path.events])
     # interval endpoints are certified non-roots, so they sit inside gaps
     first_gap = path.events[0].interval[0]
     assert f_matrix(interpolated_config(V3, W3, first_gap)).rows == f_matrix(V3).rows
@@ -116,7 +116,7 @@ def _single_event_delta(j: int, k: int, r: int, n: int) -> BiPoly:
 
 def test_per_event_f_jump_matches_type():
     path = detect_mutations(V3, W3)
-    samples = gap_samples(path)
+    samples = gap_samples([ev.interval for ev in path.events])
     befores = [path.events[0].interval[0]] + samples[:-1]
     r, n = 2, 3
     for idx in range(len(path.events)):

@@ -9,9 +9,10 @@ import pytest
 from arrlevels.config import gen_cocyclic, gen_cyclic, gen_random, new_config
 from arrlevels.errors import DimensionError, InconsistentInputError
 from arrlevels.faces import FMatrix, f_matrix, f_polynomial, fstar_matrix, fstar_polynomial
-from arrlevels.poly2 import BiPoly
+from arrlevels.poly2 import BiPoly, substitute
 from arrlevels.relations import (
     RelationReport,
+    binom,
     check_antipodal,
     check_dehn_sommerville,
     check_totals,
@@ -21,6 +22,23 @@ from arrlevels.relations import (
 
 
 TRIANGLE = new_config(2, 3, [(1, 0), (0, 1), (1, 1)])
+
+
+def _total_by_parity_sum(n: int, d: int, s: int) -> int:
+    """Oracle for total_face_count: the second closed form
+    sum_{i=0}^{d} (1 + (-1)^i) C(n, d-i) C(d-i, s)."""
+    return sum((1 + (-1) ** i) * binom(n, d - i) * binom(d - i, s) for i in range(d + 1))
+
+
+def _ds_by_substitution(fm: FMatrix) -> bool:
+    """Oracle for check_dehn_sommerville: substitute x -> -(x+y+1) into the
+    f-polynomial and compare with (-1)^d times the original."""
+    p = f_polynomial(fm)
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+    q = substitute(p, x.add(y).add(BiPoly.const(1)).neg(), y)
+    if fm.d % 2 == 1:
+        q = q.neg()
+    return q == p
 
 
 def test_total_face_count_values():
@@ -38,11 +56,11 @@ def test_total_face_count_range_check():
 
 
 def test_total_face_count_closed_forms_agree_on_grid():
-    # the function asserts both closed forms internally; sweep the grid
+    # the library evaluates one closed form; the other is the oracle
     for d in range(0, 7):
         for n in range(d + 1, 13):
             for s in range(d + 1):
-                assert total_face_count(n, d, s) >= 0
+                assert total_face_count(n, d, s) == _total_by_parity_sum(n, d, s) > 0
 
 
 def test_triangle_satisfies_all_three():
@@ -92,8 +110,30 @@ def test_reflection_routes_agree_on_arbitrary_input():
         rows = tuple(
             tuple(rng.randint(0, 9) for _ in range(n + 1)) for _ in range(d + 1)
         )
-        report = check_dehn_sommerville(FMatrix(d, n, rows))
-        assert report.holds == (report.witness is None)
+        fm = FMatrix(d, n, rows)
+        report = check_dehn_sommerville(fm)
+        assert report.holds == (report.witness is None) == _ds_by_substitution(fm)
+
+
+def test_reflection_routes_agree_on_level_grid_and_corruptions():
+    # the configurations of acceptance criterion 2, then every single-entry
+    # corruption of the criterion 10 matrix
+    matrices = []
+    for r in (2, 3, 4, 5):
+        for n in range(r, r + 5):
+            for s in range(5):
+                matrices.append(f_matrix(gen_random(n, r, seed=1000 + 97 * r + 13 * n + s)))
+    assert all(_ds_by_substitution(fm) for fm in matrices)
+    base = f_matrix(gen_cyclic(4, 2))
+    corrupted = []
+    for s in range(base.d + 1):
+        for t in range(base.n + 1):
+            rows = [list(row) for row in base.rows]
+            rows[s][t] += 1
+            corrupted.append(FMatrix(base.d, base.n, tuple(tuple(row) for row in rows)))
+    assert any(not _ds_by_substitution(fm) for fm in corrupted)
+    for fm in matrices + corrupted:
+        assert check_dehn_sommerville(fm).holds == _ds_by_substitution(fm)
 
 
 def test_transform_triangle_forward():

@@ -8,16 +8,22 @@ from fractions import Fraction
 import pytest
 
 from arrlevels.config import gen_cocyclic, gen_cyclic, gen_random
-from arrlevels.errors import DimensionError
+from arrlevels.errors import DimensionError, InconsistentInputError
 from arrlevels.faces import f_matrix, fstar_matrix
 from arrlevels.gmatrix import SmallGMatrix, full_from_small, g_of_pair, small_from_full
 from arrlevels.span import (
+    SpanReport,
     exact_rank,
     f_affine_span_rank,
     g_span_rank,
     greedy_basis,
     theoretical_dim,
 )
+
+
+def test_report_rejects_rank_above_dimension():
+    with pytest.raises(InconsistentInputError, match="rank 5 exceeds the span dimension 4"):
+        SpanReport(7, 3, "general", 10, 5, 4, ())
 
 
 def test_theoretical_dims():
