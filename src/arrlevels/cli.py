@@ -127,16 +127,21 @@ def _cmd_faces(args: argparse.Namespace) -> int:
     return 0
 
 
+def _gale_histogram(v: VectorConfig):
+    return fstar_from_patterns(dependency_patterns(v), v.r, v.n)
+
+
+def _farkas_histogram(v: VectorConfig):
+    return fstar_from_patterns(farkas_complement_oracle(v), v.r, v.n)
+
+
 def _cmd_fstar(args: argparse.Namespace) -> int:
     v = _load_config(args.config)
-    if args.oracle == "gale":
-        _emit(_dump(fstar_matrix(v).to_json()), None)
+    if args.oracle != "both":
+        route = {None: fstar_matrix, "gale": _gale_histogram, "farkas": _farkas_histogram}
+        _emit(_dump(route[args.oracle](v).to_json()), None)
         return 0
-    farkas = fstar_from_patterns(farkas_complement_oracle(v), v.r, v.n)
-    if args.oracle == "farkas":
-        _emit(_dump(farkas.to_json()), None)
-        return 0
-    gale = fstar_matrix(v)
+    gale, farkas = _gale_histogram(v), _farkas_histogram(v)
     agree = gale.rows == farkas.rows
     obj = gale.to_json()
     obj["agreement"] = agree
@@ -218,7 +223,7 @@ def _duality_reports(v: VectorConfig) -> list[dict]:
     back = f_fstar_transform(forward, v.n, v.r, "fstar_to_f")
     match = {
         "relation": "transform-matches-dual-count",
-        "holds": forward.terms == fstar_polynomial(fstar_matrix(v)).terms,
+        "holds": forward.terms == fstar_polynomial(_gale_histogram(v)).terms,
         "witness": None,
     }
     if not match["holds"]:
@@ -326,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fstar", help="dependency counts of a configuration")
     p.add_argument("config", help="configuration JSON file")
-    p.add_argument("--oracle", choices=("farkas", "gale", "both"), default="gale")
+    p.add_argument("--oracle", choices=("farkas", "gale", "both"))
     p.set_defaults(func=_cmd_fstar)
 
     p = sub.add_parser("g", help="g-matrix of a pair of configurations")

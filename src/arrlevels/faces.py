@@ -20,8 +20,13 @@ vertex.  Every face's closure contains a vertex, so expanding around all
 2*C(n, r-1) vertices and deduplicating yields the complete pattern set.
 All arithmetic is integer (columns are pre-scaled), so signatures are exact.
 
-The f-matrix histograms dissection patterns by (|F_0|, |F_-|); the
-f*-matrix histograms dependency patterns by (|F_+| + |F_-|, |F_-|).
+The f-matrix histograms dissection patterns by (|F_0|, |F_-|).  The
+f*-matrix counts dependency patterns by (|F_+| + |F_-|, |F_-|); it is not
+enumerated but computed from the f-matrix by the exact f -> f* transform
+of relations.f_fstar_transform, since by Gale duality the face counts fix
+the dependency counts.  Dependency patterns are still enumerated on the
+Gale dual for callers that want the patterns themselves, and, together
+with the certificate oracle, as independent cross-checks of the counts.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExhaustedError, DimensionError, FileFormatError
+from .errors import BudgetExhaustedError, DimensionError, FileFormatError, InconsistentInputError
 from .exactnum import _int_det
 from .config import VectorConfig, gale_dual, integer_columns
 
@@ -163,10 +168,14 @@ class FMatrix:
         # JSON true/false load as bool, a subclass of int, so compare types
         if type(d) is not int or type(n) is not int or not isinstance(rows, list):
             raise FileFormatError("f-matrix fields have wrong types")
+        if not 0 <= d < n:
+            raise FileFormatError(f"f-matrix needs 0 <= d < n, got d={d}, n={n}")
+        if len(rows) != d + 1:
+            raise FileFormatError(f"f-matrix needs {d + 1} rows, got {len(rows)}")
         clean = []
         for si, row in enumerate(rows):
-            if not isinstance(row, list) or not all(type(x) is int for x in row):
-                raise FileFormatError(f"f-matrix row {si} must be a list of integers")
+            if not isinstance(row, list) or len(row) != n + 1 or not all(type(x) is int for x in row):
+                raise FileFormatError(f"f-matrix row {si} must be a list of {n + 1} integers")
             clean.append(tuple(row))
         return FMatrix(d, n, tuple(clean))
 
@@ -227,7 +236,19 @@ def fstar_from_patterns(patterns: tuple[SignVector, ...], r: int, n: int) -> FSt
 
 @lru_cache(maxsize=None)
 def fstar_matrix(v: VectorConfig) -> FStarMatrix:
-    return fstar_from_patterns(dependency_patterns(v), v.r, v.n)
+    """Dependency counts from the face counts: entry (s,t) is the
+    coefficient of x^(n-s) y^t in the f -> f* transform of the f-polynomial."""
+    from .relations import f_fstar_transform
+
+    n = v.n
+    poly = f_fstar_transform(f_polynomial(f_matrix(v)), n, v.r, "f_to_fstar")
+    grid = [[0] * (n + 1) for _ in range(n + 1)]
+    for (i, t), c in poly.terms.items():
+        s = n - i
+        if c < 0 or not (v.r + 1 <= s <= n and 0 <= t <= s):
+            raise InconsistentInputError(f"transform gives f*[{s}][{t}] = {c}, not a dependency count")
+        grid[s][t] = int(c)
+    return FStarMatrix(v.r, n, tuple(tuple(row) for row in grid))
 
 
 def f_polynomial(fm: FMatrix):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import poly2
 from .config import VectorConfig, contract, delete
 from .errors import DimensionError, InconsistentInputError
 from .faces import FMatrix, f_matrix
@@ -154,27 +153,23 @@ def delta_fstar_from_g(g: GMatrix) -> IntGrid:
     """Dependency-count difference determined by g, shaped like an f*-matrix.
 
     Entry (s,t) is the coefficient of x^(n-s) y^t in
-    sum_{j,k} -g_{j,k} (x+y)^k (x+1)^(n-r-k) y^j.
+    sum_{j,k} -g_{j,k} (x+y)^k (x+1)^(n-r-k) y^j, summed directly as the
+    binomial products -g_{j,k} C(k, t-j) C(n-r-k, n-s-k+t-j).  The row
+    s = r must vanish (it does for every skew-symmetric g); otherwise the
+    input is rejected.
     """
-    x, y = poly2.BiPoly.var_x(), poly2.BiPoly.var_y()
-    xy = x.add(y)
-    x1 = x.add(poly2.BiPoly.const(1))
-    total = poly2.BiPoly.zero()
-    nr = g.n - g.r
-    for j in range(g.r + 1):
-        for k in range(nr + 1):
-            c = g.entry(j, k)
-            if c:
-                total = total.add(xy.pow(k).mul(x1.pow(nr - k)).mul(y.pow(j)).scale(-c))
-    grid = [[0] * (g.n + 1) for _ in range(g.n + 1)]
-    for (dx, dy), c in total.terms.items():
-        if c.denominator != 1:
-            raise InconsistentInputError("non-integer coefficient in delta-fstar")
-        s = g.n - dx
-        grid[s][dy] = int(c)
+    n, nr = g.n, g.n - g.r
+    terms = [(j, k, c) for j, row in enumerate(g.rows) for k, c in enumerate(row) if c]
+    grid = tuple(
+        tuple(
+            -sum(binom(k, t - j) * binom(nr - k, n - s - k + t - j) * c for j, k, c in terms)
+            for t in range(n + 1)
+        )
+        for s in range(n + 1)
+    )
     if any(x != 0 for x in grid[g.r]):
         raise InconsistentInputError("delta-fstar has entries at support size r; g is not skew-symmetric")
-    return tuple(tuple(row) for row in grid)
+    return grid
 
 
 def g_from_fmatrices(fv: FMatrix, fw: FMatrix) -> GMatrix:

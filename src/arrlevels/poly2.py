@@ -1,10 +1,11 @@
 """Bivariate polynomials with exact rational coefficients.
 
-A BiPoly is a sparse term map (deg_x, deg_y) -> coefficient.  The only
-nontrivial operation the rest of the library needs is full substitution
-p(sx, sy) with polynomial arguments, used for the level and dependency
-identities; total degrees stay small (around n <= 12) so naive expansion
-is fine.
+A BiPoly is a sparse term map (deg_x, deg_y) -> coefficient.  The rest
+of the library passes f- and f*-polynomials around as BiPolys and works on
+their coefficients directly; the ring operations and full substitution
+p(sx, sy) expand identities polynomially, which the tests use as a second
+route.  Total degrees stay small (around n <= 12), so naive expansion is
+fine.
 """
 
 from __future__ import annotations

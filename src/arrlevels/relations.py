@@ -10,8 +10,10 @@ are verified with zero tolerance:
 * the Dehn-Sommerville style reflection f(x,y) = (-1)^d f(-(x+y+1), y),
   checked coefficient-wise through the equivalent binomial sums, which
   name the first violated coefficient;
-* the exchange between f- and f*-polynomials, realized polynomially by
-  clearing denominators of the substitution (x, y) -> (-x/(x+1), (x+y)/(x+1)).
+* the exchange between f- and f*-polynomials, the substitution
+  (x, y) -> (-x/(x+1), (x+y)/(x+1)) with denominators cleared, evaluated
+  coefficient by coefficient as integer binomial sums rather than by
+  expanding polynomials.  faces.fstar_matrix counts dependencies with it.
 
 Checks accept either a configuration or a raw FMatrix, so corrupted
 matrices can be fed in deliberately as negative controls.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import poly2
 from .config import VectorConfig
@@ -91,10 +94,15 @@ def check_totals(v: VectorConfig | FMatrix) -> RelationReport:
 def check_dehn_sommerville(v: VectorConfig | FMatrix) -> RelationReport:
     """Reflection identity, compared coefficient by coefficient through
     the equivalent binomial sums; the witness names the first coefficient
-    that differs."""
+    that differs.
+
+    The row s = d is skipped: there C(j, d) leaves only j = d, and
+    C(0, t - l) only l = t, so its reflected sum is f[d][t] itself and
+    that row can never fail.
+    """
     fm = _as_fmatrix(v)
     d, n = fm.d, fm.n
-    for s in range(d + 1):
+    for s in range(d):
         for t in range(n + d + 1):
             rhs = 0
             for j in range(d + 1):
@@ -114,7 +122,12 @@ def f_fstar_transform(p: poly2.BiPoly, n: int, r: int, direction: str) -> poly2.
     direction "f_to_fstar" maps the f-polynomial to the f*-polynomial;
     "fstar_to_f" is the inverse.  Both compute
         (x+y+1)^n - sign * x^n - sum_{a,b} p_{a,b} (-x)^a (x+y)^b (x+1)^(n-a-b)
-    with sign = (-1)^r, resp. (-1)^(n-r).
+    with sign = (-1)^r, resp. (-1)^(n-r), one coefficient at a time: the
+    coefficient of x^i y^j is
+        C(n,j) C(n-j,i) - sign [i=n, j=0]
+            - sum_{a,b} p_{a,b} (-1)^a C(b,j) C(n-a-b, i-a-b+j).
+    Every total degree is at most n.  The input coefficients must be
+    integers, and so are the output's.
     """
     if direction == "f_to_fstar":
         sign = (-1) ** r
@@ -124,16 +137,20 @@ def f_fstar_transform(p: poly2.BiPoly, n: int, r: int, direction: str) -> poly2.
         max_x = n - r - 1
     else:
         raise DimensionError(f"unknown direction {direction!r}")
-    for (a, b) in p.terms:
+    terms = []
+    for (a, b), c in p.terms.items():
         if a > max_x or b > n or a + b > n:
             raise DimensionError(f"monomial x^{a} y^{b} outside the window for n={n}, r={r}")
-    x, y = poly2.BiPoly.var_x(), poly2.BiPoly.var_y()
-    neg_x = x.neg()
-    x_plus_y = x.add(y)
-    x_plus_1 = x.add(poly2.BiPoly.const(1))
-    core = poly2.BiPoly.zero()
-    for (a, b), c in sorted(p.terms.items()):
-        term = neg_x.pow(a).mul(x_plus_y.pow(b)).mul(x_plus_1.pow(n - a - b)).scale(c)
-        core = core.add(term)
-    full = x.add(y).add(poly2.BiPoly.const(1)).pow(n)
-    return full.sub(x.pow(n).scale(sign)).sub(core)
+        if c.denominator != 1:
+            raise InconsistentInputError(f"coefficient {c} of x^{a} y^{b} is not an integer")
+        terms.append((a, b, (-1) ** a * int(c)))
+    out = {}
+    for j in range(n + 1):
+        # the terms with C(b,j) != 0, as (a+b-j, n-a-b, coefficient * C(b,j))
+        row = [(a + b - j, n - a - b, c * binom(b, j)) for a, b, c in terms if b >= j]
+        for i in range(n - j + 1):
+            out[(i, j)] = Fraction(
+                binom(n, j) * binom(n - j, i) - sum(c * binom(m, i - lo) for lo, m, c in row)
+            )
+    out[(n, 0)] -= sign
+    return poly2.BiPoly(out)

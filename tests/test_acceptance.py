@@ -28,6 +28,7 @@ from arrlevels.faces import (
     f_matrix,
     f_polynomial,
     farkas_complement_oracle,
+    fstar_from_patterns,
     fstar_matrix,
     fstar_polynomial,
 )
@@ -88,7 +89,9 @@ def test_03_duality():
                     assert dependency_patterns(v) == farkas_complement_oracle(v)
                     p = f_polynomial(f_matrix(v))
                     fwd = f_fstar_transform(p, n, r, "f_to_fstar")
-                    assert fwd == fstar_polynomial(fstar_matrix(v))
+                    gale = fstar_from_patterns(dependency_patterns(v), r, n)
+                    assert fwd == fstar_polynomial(gale)
+                    assert fstar_matrix(v).rows == gale.rows
                     assert f_fstar_transform(fwd, n, r, "fstar_to_f") == p
                     checked += 1
         assert checked == 30

@@ -140,6 +140,13 @@ def test_fstar_both_oracles_agree(capsys, cyclic63):
     assert json.loads(out)["agreement"] is True
 
 
+def test_fstar_counted_and_enumerated_print_same_bytes(capsys, cyclic63):
+    counted = run(capsys, ["fstar", cyclic63])
+    assert counted[0] == 0
+    assert run(capsys, ["fstar", cyclic63, "--oracle", "gale"]) == counted
+    assert run(capsys, ["fstar", cyclic63, "--oracle", "farkas"]) == counted
+
+
 def test_faces_csv_with_patterns(capsys, cyclic63):
     code, out, err = run(
         capsys, ["faces", cyclic63, "--format", "csv", "--patterns"]

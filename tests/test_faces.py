@@ -7,9 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrlevels import faces
 from arrlevels.config import gale_dual, gen_cocyclic, gen_cyclic, gen_random, new_config
-from arrlevels.errors import BudgetExhaustedError, FileFormatError
+from arrlevels.errors import BudgetExhaustedError, FileFormatError, InconsistentInputError
 from arrlevels.faces import (
     FMatrix,
     dependency_patterns,
@@ -18,6 +21,7 @@ from arrlevels.faces import (
     f_matrix,
     f_polynomial,
     farkas_complement_oracle,
+    fstar_from_patterns,
     fstar_matrix,
     fstar_polynomial,
     pattern_from_string,
@@ -120,6 +124,42 @@ def test_farkas_agrees_with_dual_enumeration():
         assert set(farkas_complement_oracle(v)) == set(dependency_patterns(v))
 
 
+def _gale_histogram(v):
+    return fstar_from_patterns(dependency_patterns(v), v.r, v.n)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    shape=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    seed=st.integers(0, 2**31 - 1),
+    pointed=st.booleans(),
+)
+def test_fstar_counts_match_both_enumerations(shape, seed, pointed):
+    # the counted f*-matrix against the two independent enumerations
+    n, r = shape
+    v = gen_random(n, r, seed, pointed=pointed)
+    counted = fstar_matrix(v).rows
+    assert counted == _gale_histogram(v).rows
+    assert counted == fstar_from_patterns(farkas_complement_oracle(v), r, n).rows
+
+
+def test_fstar_counts_match_gale_enumeration_at_n10():
+    for r, seed in ((4, 10), (6, 11)):
+        v = gen_random(10, r, seed)
+        assert fstar_matrix(v).rows == _gale_histogram(v).rows
+
+
+def test_fstar_rejects_counts_no_configuration_has(monkeypatch):
+    v = new_config(2, 3, [(1, 0), (0, 1), (5, 7)])
+    fm = f_matrix(v)
+    rows = [list(row) for row in fm.rows]
+    rows[0][0] += 1
+    bad = FMatrix(fm.d, fm.n, tuple(tuple(row) for row in rows))
+    monkeypatch.setattr(faces, "f_matrix", lambda w: bad)
+    with pytest.raises(InconsistentInputError, match=r"f\*\[3\]\[0\] = -1"):
+        fstar_matrix(v)
+
+
 def test_farkas_never_contains_zero():
     zero = (0,) * TRIANGLE.n
     assert zero not in farkas_complement_oracle(TRIANGLE)
@@ -190,6 +230,21 @@ def test_fmatrix_json_rejects_booleans():
     ):
         with pytest.raises(FileFormatError):
             FMatrix.from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"d": -1, "n": 3, "rows": []},
+        {"d": 5, "n": 2, "rows": [[0, 0, 0]] * 6},
+        {"d": 1, "n": 3, "rows": [[1, 2, 2, 1]]},
+        {"d": 1, "n": 3, "rows": [[1, 2, 2, 1], [2, 2, 2]]},
+    ],
+    ids=["negative-d", "d-not-below-n", "row-count", "row-length"],
+)
+def test_fmatrix_json_rejects_impossible_shapes(bad):
+    with pytest.raises(FileFormatError):
+        FMatrix.from_json(bad)
 
 
 def test_patterns_to_json_strings():

@@ -8,7 +8,7 @@ import pytest
 
 from arrlevels.config import gale_dual, gen_cocyclic, gen_cyclic, gen_random
 from arrlevels.errors import InconsistentInputError
-from arrlevels.faces import FMatrix, f_matrix, fstar_matrix
+from arrlevels.faces import FMatrix, dependency_patterns, f_matrix, fstar_from_patterns
 from arrlevels.gmatrix import (
     GMatrix,
     check_contraction_deletion,
@@ -58,6 +58,25 @@ def _delta_f_by_expansion(g: GMatrix) -> list[list[int]]:
     for (dx, dy), c in total.terms.items():
         assert c.denominator == 1 and dx <= g.r and dy <= g.n
         grid[dx][dy] = int(c)
+    return grid
+
+
+def _delta_fstar_by_expansion(g: GMatrix) -> list[list[int]]:
+    """Oracle for delta_fstar_from_g: expand
+    sum -g_{j,k} (x+y)^k (x+1)^(n-r-k) y^j as a polynomial and put the
+    coefficient of x^(n-s) y^t at (s,t)."""
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+    xy, x1 = x.add(y), x.add(BiPoly.const(1))
+    nr = g.n - g.r
+    total = BiPoly.zero()
+    for j in range(g.r + 1):
+        for k in range(nr + 1):
+            if g.entry(j, k):
+                total = total.add(xy.pow(k).mul(x1.pow(nr - k)).mul(y.pow(j)).scale(-g.entry(j, k)))
+    grid = [[0] * (g.n + 1) for _ in range(g.n + 1)]
+    for (dx, dy), c in total.terms.items():
+        assert c.denominator == 1 and dx <= g.n and dy <= g.n
+        grid[g.n - dx][dy] = int(c)
     return grid
 
 
@@ -165,11 +184,21 @@ def test_inversion_round_trip_random_skew():
         assert g_from_fmatrices(base, shifted).rows == g.rows
 
 
+def test_delta_fstar_matches_polynomial_expansion():
+    rng = random.Random(29)
+    gs = [MOTION_G] + [_random_skew(rng, r, n) for r, n in ((2, 5), (3, 6), (4, 7))]
+    for n, r, seed in ((5, 3, 81), (6, 3, 83), (6, 4, 85), (7, 4, 87), (7, 3, 89), (8, 5, 91)):
+        gs.append(g_of_pair(gen_random(n, r, seed=seed), gen_random(n, r, seed=seed + 1)))
+    assert sum(not g.is_zero() for g in gs) >= 8
+    for g in gs:
+        assert [list(row) for row in delta_fstar_from_g(g)] == _delta_fstar_by_expansion(g)
+
+
 def test_delta_fstar_matches_enumeration():
     v, w = gen_cocyclic(5, 3), gen_cyclic(5, 3)
     g = g_of_pair(v, w)
     delta = delta_fstar_from_g(g)
-    fsv, fsw = fstar_matrix(v), fstar_matrix(w)
+    fsv, fsw = (fstar_from_patterns(dependency_patterns(c), 3, 5) for c in (v, w))
     for s in range(6):
         for t in range(6):
             assert delta[s][t] == fsw.entry(s, t) - fsv.entry(s, t)

@@ -8,7 +8,14 @@ import pytest
 
 from arrlevels.config import gen_cocyclic, gen_cyclic, gen_random, new_config
 from arrlevels.errors import DimensionError, InconsistentInputError
-from arrlevels.faces import FMatrix, f_matrix, f_polynomial, fstar_matrix, fstar_polynomial
+from arrlevels.faces import (
+    FMatrix,
+    dependency_patterns,
+    f_matrix,
+    f_polynomial,
+    fstar_from_patterns,
+    fstar_polynomial,
+)
 from arrlevels.poly2 import BiPoly, substitute
 from arrlevels.relations import (
     RelationReport,
@@ -39,6 +46,24 @@ def _ds_by_substitution(fm: FMatrix) -> bool:
     if fm.d % 2 == 1:
         q = q.neg()
     return q == p
+
+
+def _transform_by_expansion(p: BiPoly, n: int, r: int, direction: str) -> BiPoly:
+    """Oracle for f_fstar_transform: expand
+    (x+y+1)^n - sign x^n - sum p_{a,b} (-x)^a (x+y)^b (x+1)^(n-a-b)
+    with polynomial arithmetic."""
+    sign = (-1) ** r if direction == "f_to_fstar" else (-1) ** (n - r)
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+    x_plus_1 = x.add(BiPoly.const(1))
+    core = BiPoly.zero()
+    for (a, b), c in p.terms.items():
+        core = core.add(x.neg().pow(a).mul(x.add(y).pow(b)).mul(x_plus_1.pow(n - a - b)).scale(c))
+    return x.add(y).add(BiPoly.const(1)).pow(n).sub(x.pow(n).scale(sign)).sub(core)
+
+
+def _gale_fstar_polynomial(v) -> BiPoly:
+    """f*-polynomial of the dependency patterns enumerated on the Gale dual."""
+    return fstar_polynomial(fstar_from_patterns(dependency_patterns(v), v.r, v.n))
 
 
 def test_total_face_count_values():
@@ -136,10 +161,23 @@ def test_reflection_routes_agree_on_level_grid_and_corruptions():
         assert check_dehn_sommerville(fm).holds == _ds_by_substitution(fm)
 
 
+def test_reflection_reports_every_corruption_of_top_row():
+    # the row s = d is not evaluated, since it can never fail; corruptions
+    # there still break the lower rows
+    base = f_matrix(gen_cyclic(4, 2))
+    d = base.d
+    for t in range(base.n + 1):
+        for step in (1, -1):
+            rows = [list(row) for row in base.rows]
+            rows[d][t] += step
+            report = check_dehn_sommerville(FMatrix(base.d, base.n, tuple(tuple(row) for row in rows)))
+            assert not report.holds and report.witness, (t, step)
+
+
 def test_transform_triangle_forward():
     p = f_polynomial(f_matrix(TRIANGLE))
     out = f_fstar_transform(p, 3, 2, "f_to_fstar")
-    assert out == fstar_polynomial(fstar_matrix(TRIANGLE))
+    assert out == _gale_fstar_polynomial(TRIANGLE)
     assert set(out.terms) == {(0, 1), (0, 2)}
 
 
@@ -153,7 +191,39 @@ def test_transform_round_trip_on_samples():
 def test_transform_forward_matches_enumeration():
     for v in (gen_cyclic(5, 3), gen_cocyclic(5, 3), gen_random(6, 3, seed=9)):
         p = f_polynomial(f_matrix(v))
-        assert f_fstar_transform(p, v.n, v.r, "f_to_fstar") == fstar_polynomial(fstar_matrix(v))
+        assert f_fstar_transform(p, v.n, v.r, "f_to_fstar") == _gale_fstar_polynomial(v)
+
+
+def test_transform_matches_polynomial_expansion():
+    # both directions on the acceptance criterion 3 grid
+    for r in (2, 3, 4):
+        for n in range(r, 8):
+            for s in (0, 1):
+                v = gen_random(n, r, seed=3000 + 31 * r + 7 * n + s)
+                p = f_polynomial(f_matrix(v))
+                fwd = f_fstar_transform(p, n, r, "f_to_fstar")
+                assert fwd == _transform_by_expansion(p, n, r, "f_to_fstar")
+                assert f_fstar_transform(fwd, n, r, "fstar_to_f") == _transform_by_expansion(
+                    fwd, n, r, "fstar_to_f"
+                )
+
+
+def test_transform_matches_expansion_on_arbitrary_polynomials():
+    # the transform is affine, so it must agree with the expansion on any
+    # integer polynomial inside the window, not only on face counts
+    rng = random.Random(19)
+    for _ in range(30):
+        r = rng.randint(1, 5)
+        n = rng.randint(r, 8)
+        for direction, max_x in (("f_to_fstar", r - 1), ("fstar_to_f", n - r - 1)):
+            terms = {(a, b): rng.randint(-9, 9) for a in range(max_x + 1) for b in range(n - a + 1)}
+            p = BiPoly(terms)
+            assert f_fstar_transform(p, n, r, direction) == _transform_by_expansion(p, n, r, direction)
+
+
+def test_transform_rejects_fractional_coefficient():
+    with pytest.raises(InconsistentInputError, match="x\\^0 y\\^1"):
+        f_fstar_transform(BiPoly.monomial(0, 1, "1/2"), 4, 2, "f_to_fstar")
 
 
 def test_transform_square_case_from_zero():
