@@ -16,6 +16,7 @@ indexed 1..n in the public API.  Provided here:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -194,6 +195,8 @@ def contract(v: VectorConfig, i: int) -> VectorConfig:
 def scale_column(v: VectorConfig, i: int, c: int | str | Fraction) -> VectorConfig:
     """Rescale column i by a nonzero rational (positive scaling is invisible
     to all sign-pattern counts)."""
+    if not 1 <= i <= v.n:
+        raise DimensionError(f"column index {i} out of range 1..{v.n}")
     c = rat(c)
     if c == 0:
         raise DimensionError("column scale must be nonzero")
@@ -222,7 +225,9 @@ def is_extremal(v: VectorConfig, subset: Iterable[int]) -> bool:
     if len(w) >= v.r:
         return False
     pattern = tuple(0 if (i + 1) in set(w) else 1 for i in range(v.n))
-    return pattern in faces.dissection_pattern_set(v)
+    patterns = faces.dissection_patterns(v)  # sorted
+    at = bisect.bisect_left(patterns, pattern)
+    return at < len(patterns) and patterns[at] == pattern
 
 
 def is_pointed(v: VectorConfig) -> bool:

@@ -1,6 +1,6 @@
 """Exact rational scalars, dense rational matrices, univariate polynomials.
 
-Everything downstream computes with these three building blocks:
+Everything downstream computes with these building blocks:
 
 * ``Rat`` is an alias for :class:`fractions.Fraction` (canonical reduced
   form, exact arithmetic, positive denominator).
@@ -9,6 +9,8 @@ Everything downstream computes with these three building blocks:
   through fraction-free (Bareiss) elimination on an integer rescaling of
   the rows, which keeps intermediate values small at the sizes used here
   (up to roughly 10x10).
+* ``cross_product`` gives signed maximal minors using only + - *, so it
+  serves integer rows (vertex normals) and ``UniPoly`` rows (moving columns).
 * ``UniPoly`` is a univariate polynomial over ``Rat`` with Sturm-sequence
   real-root isolation on an open interval.  Isolation returns disjoint
   rational intervals with certified root-free endpoints; downstream code
@@ -91,6 +93,30 @@ def _int_det(rows: list[list[int]]) -> int:
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def cross_product(rows: Sequence[Sequence]) -> list:
+    """Signed maximal minors u_c = (-1)^c det(rows without column c) of k >= 1
+    rows of length k+1: u is orthogonal to each row and det([a] + rows) = a.u.
+    Laplace expansion builds the minors of each row prefix from those of the
+    prefix one row shorter, using only + - *, so entries may be ints or UniPolys.
+    """
+    k = len(rows)
+    if k < 1 or any(len(row) != k + 1 for row in rows):
+        raise DimensionError("cross product needs k >= 1 rows of length k+1")
+    minors = {1 << c: x for c, x in enumerate(rows[0])}  # column-set bitmask -> minor
+    for i in range(1, k):
+        nxt = {}
+        for mask, m in minors.items():
+            for c in range(k + 1):
+                if not mask >> c & 1:
+                    # cofactor sign of rows[i][c]: -1 per column of mask right of c
+                    term = -rows[i][c] * m if (mask >> c).bit_count() % 2 else rows[i][c] * m
+                    key = mask | 1 << c
+                    nxt[key] = nxt[key] + term if key in nxt else term
+        minors = nxt
+    full = (1 << k + 1) - 1
+    return [-minors[full ^ 1 << c] if c % 2 else minors[full ^ 1 << c] for c in range(k + 1)]
 
 
 @dataclass(frozen=True)
@@ -300,6 +326,12 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return UniPoly.make(out)
+
+    # operator spellings for ring-generic code such as cross_product
+    __add__ = add
+    __sub__ = sub
+    __mul__ = mul
+    __neg__ = neg
 
     def scale(self, c: Rat | int) -> UniPoly:
         c = rat(c)

@@ -36,10 +36,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExhaustedError, DimensionError, FileFormatError, InconsistentInputError
-from .exactnum import _int_det
+from .exactnum import cross_product
 from .config import VectorConfig, gale_dual, integer_columns
 
 SignVector = tuple[int, ...]
+
+# Entries per configuration-keyed cache, so long sweeps run in bounded memory
+_CACHE_SIZE = 64
 
 
 def pattern_to_string(p: SignVector) -> str:
@@ -54,28 +57,19 @@ def pattern_from_string(text: str) -> SignVector:
         raise FileFormatError(f"bad sign character in pattern {text!r}") from exc
 
 
-def _cross_product(rows: list[tuple[int, ...]], r: int) -> tuple[int, ...]:
-    """Integer normal to the span of r-1 independent length-r rows."""
-    out = []
-    for c in range(r):
-        minor = [[row[j] for j in range(r) if j != c] for row in rows]
-        out.append((-1) ** c * _int_det(minor))
-    return tuple(out)
-
-
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _pattern_tuple(v: VectorConfig) -> tuple[SignVector, ...]:
     icols = integer_columns(v)
-    n, r, d = v.n, v.r, v.d
+    n, d = v.n, v.d
     found: set[SignVector] = set()
     local = list(itertools.product((-1, 0, 1), repeat=d))
     for subset in itertools.combinations(range(n), d):
-        rows = [icols[j] for j in subset]
-        u = _cross_product(rows, r)
+        # the vertex normal; with r = 1 there are no rows and it is 1
+        u = cross_product([icols[j] for j in subset]) if d else [1]
         for uu in (u, tuple(-x for x in u)):
             base = [_sign(sum(a * b for a, b in zip(icols[m], uu))) for m in range(n)]
             for assign in local:
@@ -84,11 +78,6 @@ def _pattern_tuple(v: VectorConfig) -> tuple[SignVector, ...]:
                     sig[pos] = s
                 found.add(tuple(sig))
     return tuple(sorted(found))
-
-
-@lru_cache(maxsize=64)
-def dissection_pattern_set(v: VectorConfig) -> frozenset[SignVector]:
-    return frozenset(_pattern_tuple(v))
 
 
 def dissection_patterns(v: VectorConfig) -> tuple[SignVector, ...]:
@@ -220,7 +209,7 @@ def _histogram_f(patterns: tuple[SignVector, ...], d: int, n: int) -> FMatrix:
     return FMatrix(d, n, tuple(tuple(row) for row in grid))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def f_matrix(v: VectorConfig) -> FMatrix:
     return _histogram_f(dissection_patterns(v), v.d, v.n)
 
@@ -234,7 +223,7 @@ def fstar_from_patterns(patterns: tuple[SignVector, ...], r: int, n: int) -> FSt
     return FStarMatrix(r, n, tuple(tuple(row) for row in grid))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def fstar_matrix(v: VectorConfig) -> FStarMatrix:
     """Dependency counts from the face counts: entry (s,t) is the
     coefficient of x^(n-s) y^t in the f -> f* transform of the f-polynomial."""

@@ -34,7 +34,7 @@ from .exactnum import (
     _sign,
     bisect_root_interval,
     count_distinct_roots,
-    det,
+    cross_product,
     isolate_roots,
     kernel_basis,
     poly_gcd,
@@ -68,21 +68,6 @@ class MotionPath:
     events: tuple[MutationEvent, ...]
 
 
-def _interp_poly(values: list[Rat]) -> UniPoly:
-    """The polynomial of degree < len(values) through (i, values[i])."""
-    npts = len(values)
-    full = UniPoly.make([1])
-    for i in range(npts):
-        full = full.mul(UniPoly.make([-i, 1]))
-    out = UniPoly.zero()
-    for i, val in enumerate(values):
-        if val == 0:
-            continue
-        basis = full.divmod(UniPoly.make([-i, 1]))[0]
-        out = out.add(basis.scale(val / basis(rat(i))))
-    return out
-
-
 def _column_at(v: VectorConfig, w: VectorConfig, j: int, t: Rat) -> list[Rat]:
     va = v.mat.col(j)
     vb = w.mat.col(j)
@@ -97,36 +82,25 @@ def interpolated_config(v: VectorConfig, w: VectorConfig, t: Rat | int | str) ->
     return new_config(v.r, v.n, [_column_at(v, w, j, tt) for j in range(v.n)])
 
 
-def _det_poly(v: VectorConfig, w: VectorConfig, subset: tuple[int, ...]) -> UniPoly:
-    """Determinant of the interpolated columns in subset, as a polynomial in t."""
-    r = v.r
-    vals = []
-    for node in range(r + 1):
-        t = rat(node)
-        cols = [_column_at(v, w, j, t) for j in subset]
-        rows = tuple(tuple(col[i] for col in cols) for i in range(r))
-        vals.append(det(Mat(r, r, rows)))
-    return _interp_poly(vals)
+def _moving_column(v: VectorConfig, w: VectorConfig, j: int) -> list[UniPoly]:
+    """Column j of (1-t)V + tW: its r entries a + t(b-a) as polynomials."""
+    return [UniPoly.make([a, b - a]) for a, b in zip(v.mat.col(j), w.mat.col(j))]
 
 
 def _cross_polys(v: VectorConfig, w: VectorConfig, idxs: tuple[int, ...]) -> list[UniPoly]:
-    """Coordinates of the generalized cross product of r-1 moving columns.
+    """exactnum.cross_product of r-1 moving columns: orthogonal to each of
+    them at every t, with coordinates of degree at most r-1.  With r = 1
+    there is nothing to cross and the vector is the constant 1."""
+    if not idxs:
+        return [UniPoly.make([1])]
+    return cross_product([_moving_column(v, w, j) for j in idxs])
 
-    The resulting vector is orthogonal to every listed column at every t,
-    and each coordinate has degree at most r-1.
-    """
-    r = v.r
-    per_node = []
-    for node in range(r):
-        t = rat(node)
-        cols = [_column_at(v, w, j, t) for j in idxs]
-        coords = []
-        for c in range(r):
-            rows = tuple(tuple(col[i] for col in cols) for i in range(r) if i != c)
-            val = det(Mat(r - 1, r - 1, rows))
-            coords.append(val if c % 2 == 0 else -val)
-        per_node.append(coords)
-    return [_interp_poly([per_node[node][c] for node in range(r)]) for c in range(r)]
+
+def _det_poly(v: VectorConfig, w: VectorConfig, subset: tuple[int, ...]) -> UniPoly:
+    """Determinant of the moving columns in subset, of degree at most r in t:
+    the first column dotted with the cross product of the others."""
+    pairs = zip(_moving_column(v, w, subset[0]), _cross_polys(v, w, subset[1:]))
+    return sum((a * u for a, u in pairs), UniPoly.zero())
 
 
 def _sign_at_root(
@@ -171,9 +145,7 @@ def _classify(
     ref = wpolys[subset[0]]
     eps = {subset[0]: 1}
     for i in subset[1:]:
-        q = UniPoly.zero()
-        for c in range(r):
-            q = q.add(wpolys[i][c].mul(ref[c]))
+        q = sum((a * b for a, b in zip(wpolys[i], ref)), UniPoly.zero())
         eps[i] = _sign_at_root(q, det_sf, interval, subset)
     if antipodal:
         eps = {i: -e for i, e in eps.items()}

@@ -191,6 +191,14 @@ def test_positive_scaling_preserves_f():
     assert fstar_matrix(w).rows == fstar_matrix(v).rows
 
 
+@pytest.mark.parametrize("i", [0, 5])
+def test_column_index_out_of_range(i):
+    v = gen_cyclic(4, 2)
+    for op in (delete, contract, lambda v, i: scale_column(v, i, 2)):
+        with pytest.raises(DimensionError):
+            op(v, i)
+
+
 def test_invertible_transform_preserves_f():
     v = gen_cyclic(5, 3)
     a = Mat.from_rows([[1, 2, 0], [0, 1, 5], [3, 0, 1]])

@@ -5,13 +5,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrlevels.errors import BoundaryRootError, DegeneratePolynomialError, DimensionError
 from arrlevels.exactnum import (
     Mat,
     UniPoly,
+    _int_det,
     bisect_root_interval,
     count_distinct_roots,
+    cross_product,
     det,
     inverse,
     isolate_roots,
@@ -80,6 +84,32 @@ def test_det_matches_cofactor_expansion():
             [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)] for _ in range(3)]
         )
         assert det(m) == _cofactor_det(m)
+
+
+@st.composite
+def _rows_and_vector(draw):
+    k = draw(st.integers(1, 7))
+    entry = st.integers(-30, 30)
+    rows = draw(st.lists(st.lists(entry, min_size=k + 1, max_size=k + 1), min_size=k, max_size=k))
+    return rows, draw(st.lists(entry, min_size=k + 1, max_size=k + 1))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_rows_and_vector())
+def test_cross_product_matches_bareiss_minors(case):
+    rows, a = case
+    k = len(rows)
+    u = cross_product(rows)
+    minors = [_int_det([row[:c] + row[c + 1 :] for row in rows]) for c in range(k + 1)]
+    assert u == [(-1) ** c * m for c, m in enumerate(minors)]
+    assert all(sum(x * y for x, y in zip(row, u)) == 0 for row in rows)
+    assert _int_det([a] + rows) == sum(x * y for x, y in zip(a, u))
+
+
+@pytest.mark.parametrize("rows", [[], [[1, 2, 3]], [[1, 2, 3], [4, 5]]])
+def test_cross_product_rejects_bad_shapes(rows):
+    with pytest.raises(DimensionError):
+        cross_product(rows)
 
 
 def test_kernel_basis_single_vector():

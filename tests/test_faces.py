@@ -16,7 +16,6 @@ from arrlevels.errors import BudgetExhaustedError, FileFormatError, Inconsistent
 from arrlevels.faces import (
     FMatrix,
     dependency_patterns,
-    dissection_pattern_set,
     dissection_patterns,
     f_matrix,
     f_polynomial,
@@ -39,7 +38,7 @@ def test_pattern_string_round_trip():
 
 
 def test_triangle_pattern_count():
-    pats = dissection_pattern_set(TRIANGLE)
+    pats = set(dissection_patterns(TRIANGLE))
     assert len(pats) == 12
     assert (1, 1, 1) in pats
     assert (-1, 1, 1) in pats
@@ -50,12 +49,12 @@ def test_triangle_pattern_count():
 
 def test_orthogonal_pair_all_nonzero_sign_vectors():
     v = new_config(2, 2, [(1, 0), (0, 1)])
-    assert len(dissection_pattern_set(v)) == 8
+    assert len(set(dissection_patterns(v))) == 8
 
 
 def test_rank_one_patterns():
     v = new_config(1, 1, [(2,)])
-    assert dissection_pattern_set(v) == frozenset({(1,), (-1,)})
+    assert set(dissection_patterns(v)) == {(1,), (-1,)}
 
 
 def test_patterns_sorted_canonically():
@@ -65,7 +64,7 @@ def test_patterns_sorted_canonically():
 
 def test_antipodal_closure():
     for v in (TRIANGLE, gen_cyclic(5, 3), gen_cocyclic(5, 3)):
-        pats = dissection_pattern_set(v)
+        pats = set(dissection_patterns(v))
         assert all(tuple(-s for s in p) in pats for p in pats)
 
 
@@ -175,6 +174,15 @@ def test_pattern_total_matches_f_total():
     assert len(dissection_patterns(v)) == f_matrix(v).total()
 
 
+def test_count_caches_stay_bounded():
+    configs = {gen_random(4, 2, seed) for seed in range(70)}
+    assert len(configs) == 70
+    for v in configs:
+        fstar_matrix(v)
+    for cache in (f_matrix, fstar_matrix, faces._pattern_tuple):
+        assert cache.cache_info().currsize <= 64
+
+
 def test_vertex_count_is_two_binom():
     v = gen_random(6, 3, seed=2)
     d = v.r - 1
@@ -184,7 +192,7 @@ def test_vertex_count_is_two_binom():
 
 def test_sampled_direction_signature_is_enumerated():
     v = gen_cyclic(5, 3)
-    pats = dissection_pattern_set(v)
+    pats = set(dissection_patterns(v))
     rng = random.Random(8)
     for _ in range(40):
         u = [Fraction(rng.randint(-50, 50), 7) for _ in range(v.r)]

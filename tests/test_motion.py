@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from arrlevels.config import gen_cyclic, gen_random, integer_columns, is_pointed, new_config
 from arrlevels.errors import GeneralPositionError, GenericityError
 from arrlevels.faces import f_matrix
+from arrlevels.exactnum import Mat, det
 from arrlevels.gmatrix import g_of_pair
 from arrlevels.motion import (
+    _cross_polys,
+    _det_poly,
     classify_event,
     detect_mutations,
     events_to_json,
@@ -216,3 +220,37 @@ def test_random_pairs_motion_equals_algebra():
             w = perturb(w, seed=seed)
             g = g_from_motion(v, w)
         assert g.rows == g_of_pair(v, w).rows
+
+
+def _scalar_cross(cols: list[tuple[Fraction, ...]], r: int) -> list[Fraction]:
+    # u_c = (-1)^c det(columns without coordinate c), by Bareiss over Mat
+    out = []
+    for c in range(r):
+        rows = tuple(tuple(col[i] for col in cols) for i in range(r) if i != c)
+        out.append((-1) ** c * det(Mat(r - 1, r - 1, rows)))
+    return out
+
+
+@pytest.mark.parametrize("n,r", [(1, 1), (3, 1), (4, 2), (5, 3), (6, 4), (8, 5)])
+@pytest.mark.parametrize("kind", ["plain", "pointed", "perturbed"])
+def test_motion_polynomials_match_pointwise_determinants(n, r, kind):
+    pointed = kind == "pointed"
+    v = gen_random(n, r, seed=n + r, pointed=pointed)
+    if kind == "perturbed":
+        w = perturb(v, seed=3, magnitude=1)
+    else:
+        w = gen_random(n, r, seed=n + r + 100, pointed=pointed)
+    # r+2 points fix a polynomial of degree <= r+1, so agreement is equality
+    times = [Fraction(2 * i - 1, 3) for i in range(r + 2)]
+    configs = [interpolated_config(v, w, t) for t in times]
+    for subset in combinations(range(n), r):
+        poly = _det_poly(v, w, subset)
+        assert poly.degree <= r
+        for t, cfg in zip(times, configs):
+            assert poly(t) == det(cfg.mat.select_cols(subset))
+    for small in combinations(range(n), r - 1):
+        polys = _cross_polys(v, w, small)
+        assert len(polys) == r and all(q.degree <= r - 1 for q in polys)
+        for t, cfg in zip(times, configs):
+            want = _scalar_cross([cfg.mat.col(j) for j in small], r) if small else [1]
+            assert [q(t) for q in polys] == want
