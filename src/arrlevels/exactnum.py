@@ -1,4 +1,4 @@
-"""Exact rational scalars, dense rational matrices, univariate polynomials.
+"""Exact rational scalars, dense rational matrices, integer univariate polynomials.
 
 Everything downstream computes with these building blocks:
 
@@ -11,11 +11,16 @@ Everything downstream computes with these building blocks:
   (up to roughly 10x10).
 * ``cross_product`` gives signed maximal minors using only + - *, so it
   serves integer rows (vertex normals) and ``UniPoly`` rows (moving columns).
-* ``UniPoly`` is a univariate polynomial over ``Rat`` with Sturm-sequence
-  real-root isolation on an open interval.  Isolation returns disjoint
-  rational intervals with certified root-free endpoints; downstream code
-  only ever needs sample points strictly between roots, never the roots
-  themselves, so bisection refinement is the workhorse primitive.
+* ``UniPoly`` is a univariate polynomial with integer coefficients; a
+  rational one is stored as a positive multiple, which has the same roots
+  and signs.  Its gcd and squarefree part are primitive with a positive
+  leading coefficient (not monic), Sturm chains are built from
+  pseudo-remainders divided by their positive content, and the sign at a
+  rational a/b is the sign of the integer sum c_i a^i b^(deg-i).  Real-root
+  isolation on an open interval returns disjoint rational intervals with
+  certified root-free endpoints; downstream code only ever needs sample
+  points strictly between roots, never the roots themselves, so bisection
+  refinement is the workhorse primitive.
 
 Floating point is forbidden in every code path here; all results are exact.
 """
@@ -51,14 +56,6 @@ def rat(value: int | str | Fraction) -> Rat:
 def rat_str(value: Rat) -> str:
     """Serialize to the canonical decimal string "p" or "p/q" (q > 0)."""
     return str(value)
-
-
-def _sign(value: Rat | int) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +270,21 @@ def kernel_basis(m: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Univariate polynomial; coeffs[i] is the coefficient of t^i."""
+    """Univariate polynomial with integer coefficients; coeffs[i] is the
+    coefficient of t^i, and the last one is nonzero.
 
-    coeffs: tuple[Rat, ...]
+    ``make`` accepts rational coefficients and stores them times the
+    positive lcm of their denominators, which keeps every root and sign.
+    """
+
+    coeffs: tuple[int, ...]
 
     @staticmethod
     def make(coeffs: Sequence[int | str | Fraction]) -> UniPoly:
         vals = [rat(c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
-        return UniPoly(tuple(vals))
+        return UniPoly(tuple(integer_rescaling(vals)[1]))
 
     @staticmethod
     def zero() -> UniPoly:
@@ -295,20 +297,40 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, t: Rat) -> Rat:
-        acc = _ZERO
+    def __call__(self, t: Rat | int) -> Rat | int:
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
 
+    def homogeneous(self, a: int, b: int, degree: int | None = None) -> int:
+        """The integer sum of c_i a^i b^(degree-i), which is b^degree * p(a/b);
+        degree defaults to the degree of p and must not be below it."""
+        acc, pw = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * a + c * pw
+            pw *= b
+        if degree is not None and self.coeffs:
+            if degree < self.degree:
+                raise DimensionError("homogenising degree below the polynomial degree")
+            acc *= b ** (degree - self.degree)
+        return acc
+
+    def sign_at(self, x: Rat | int) -> int:
+        """Sign of p at the rational x, by integer homogeneous Horner."""
+        v = self.homogeneous(x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
+
     def add(self, other: UniPoly) -> UniPoly:
         n = max(len(self.coeffs), len(other.coeffs))
-        out = [_ZERO] * n
+        out = [0] * n
         for i, c in enumerate(self.coeffs):
             out[i] += c
         for i, c in enumerate(other.coeffs):
             out[i] += c
-        return UniPoly.make(out)
+        while out and out[-1] == 0:
+            out.pop()
+        return UniPoly(tuple(out))
 
     def neg(self) -> UniPoly:
         return UniPoly(tuple(-c for c in self.coeffs))
@@ -319,13 +341,13 @@ class UniPoly:
     def mul(self, other: UniPoly) -> UniPoly:
         if self.is_zero() or other.is_zero():
             return UniPoly.zero()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return UniPoly.make(out)
+        return UniPoly(tuple(out))  # Z is a domain: the top coefficient is nonzero
 
     # operator spellings for ring-generic code such as cross_product
     __add__ = add
@@ -333,77 +355,113 @@ class UniPoly:
     __mul__ = mul
     __neg__ = neg
 
-    def scale(self, c: Rat | int) -> UniPoly:
-        c = rat(c)
-        if c == 0:
-            return UniPoly.zero()
-        return UniPoly(tuple(v * c for v in self.coeffs))
-
     def derivative(self) -> UniPoly:
-        return UniPoly.make([i * c for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
-    def divmod(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
-        if other.is_zero():
-            raise DegeneratePolynomialError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        q = [_ZERO] * max(0, len(rem) - len(other.coeffs) + 1)
-        dl = other.coeffs[-1]
-        while len(rem) >= len(other.coeffs) and rem:
-            k = len(rem) - len(other.coeffs)
-            f = rem[-1] / dl
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly.make(q), UniPoly.make(rem)
 
-    def monic(self) -> UniPoly:
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
+def _div_content(p: UniPoly) -> UniPoly:
+    """p divided by the positive gcd of its coefficients; signs are kept."""
+    c = math.gcd(*p.coeffs)
+    return p if c <= 1 else UniPoly(tuple(x // c for x in p.coeffs))
+
+
+def _primitive(p: UniPoly) -> UniPoly:
+    """The primitive part of p with a positive leading coefficient."""
+    p = _div_content(p)
+    return p.neg() if p.coeffs and p.coeffs[-1] < 0 else p
+
+
+def _prem(a: UniPoly, b: UniPoly) -> UniPoly:
+    """A positive multiple of the remainder of a divided by nonzero b.
+
+    Pseudo-division in Z[t]: each step scales the running remainder by
+    |lc(b)| before it cancels the top term, so no fraction arises and the
+    factor picked up is positive.
+    """
+    bc = b.coeffs if b.coeffs[-1] > 0 else tuple(-c for c in b.coeffs)
+    lead, m = bc[-1], len(bc) - 1
+    rem = list(a.coeffs)
+    while len(rem) > m:
+        f = rem.pop()
+        k = len(rem) - m
+        if lead != 1:
+            rem = [lead * x for x in rem]
+        for i in range(m):
+            rem[k + i] -= f * bc[i]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return UniPoly(tuple(rem))
+
+
+def _exact_quotient(a: UniPoly, b: UniPoly) -> UniPoly:
+    """a / b where the primitive b divides a: by Gauss's lemma the quotient
+    has integer coefficients, so every coefficient division is exact."""
+    rem = list(a.coeffs)
+    bc = b.coeffs
+    lead, m = bc[-1], len(bc) - 1
+    q = [0] * (len(rem) - m)
+    for k in range(len(q) - 1, -1, -1):
+        f = rem[k + m] // lead
+        q[k] = f
+        for i in range(m + 1):
+            rem[k + i] -= f * bc[i]
+    return UniPoly(tuple(q))
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor (monic 1 when coprime)."""
+    """Greatest common divisor, primitive with a positive leading coefficient.
+
+    That is 1 when a and b are coprime and zero only when both are zero.
+    The primitive pseudo-remainder sequence keeps every step in Z[t].
+    """
+    a, b = _primitive(a), _primitive(b)
     while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero():
-        return a
-    return a.monic()
+        a, b = b, _primitive(_prem(a, b))
+    return a
 
 
-def squarefree_part(p: UniPoly) -> UniPoly:
+def _squarefree_split(p: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(squarefree part of p, gcd(p, p')) for nonzero p."""
     if p.is_zero():
         raise DegeneratePolynomialError("squarefree part of the zero polynomial")
     g = poly_gcd(p, p.derivative())
     if g.degree <= 0:
-        return p.monic()
-    return p.divmod(g)[0].monic()
+        return _primitive(p), g
+    return _primitive(_exact_quotient(p, g)), g
+
+
+def squarefree_part(p: UniPoly) -> UniPoly:
+    """p divided by gcd(p, p'): the same distinct roots, each simple.
+    Primitive with a positive leading coefficient."""
+    return _squarefree_split(p)[0]
 
 
 def _sturm_chain(p: UniPoly) -> list[UniPoly]:
-    chain = [p, p.derivative()]
+    """Sturm sequence of p: p, p', then the negated remainders.  Each
+    remainder is a pseudo-remainder divided by its positive content, a
+    positive multiple of the Euclidean one, so every sign is the same."""
+    chain = [p, _div_content(p.derivative())]
     while not chain[-1].is_zero():
-        rem = chain[-2].divmod(chain[-1])[1]
-        chain.append(rem.neg())
+        chain.append(_div_content(_prem(chain[-2], chain[-1]).neg()))
     chain.pop()
     return chain
 
 
 def _variations(chain: list[UniPoly], x: Rat) -> int:
-    signs = [s for s in (_sign(q(x)) for q in chain) if s != 0]
+    signs = [s for s in (q.sign_at(x) for q in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_distinct_roots(p: UniPoly, lo: Rat, hi: Rat) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi).
 
-    Requires p nonzero and p(lo) != 0 != p(hi).
+    Requires lo < hi, p nonzero and p(lo) != 0 != p(hi).
     """
+    if lo >= hi:
+        raise DimensionError("count_distinct_roots requires lo < hi")
     if p.is_zero():
         raise DegeneratePolynomialError("root count of the zero polynomial")
-    if p(lo) == 0 or p(hi) == 0:
+    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise BoundaryRootError(f"root at interval endpoint of ({lo}, {hi})")
     if p.degree <= 0:
         return 0
@@ -419,12 +477,12 @@ def _isolate_squarefree(q: UniPoly, chain: list[UniPoly], lo: Rat, hi: Rat) -> l
     if total == 1:
         return [(lo, hi)]
     mid = (lo + hi) / 2
-    if q(mid) == 0:
+    if q.sign_at(mid) == 0:
         # mid is itself a root; fence it off with a window free of the others
         w = (hi - lo) / 4
         while True:
             a, b = mid - w, mid + w
-            if a > lo and b < hi and q(a) != 0 and q(b) != 0:
+            if a > lo and b < hi and q.sign_at(a) != 0 and q.sign_at(b) != 0:
                 inner = _variations(chain, a) - _variations(chain, b)
                 if inner == 1:
                     break
@@ -448,14 +506,12 @@ def isolate_roots(p: UniPoly, lo: Rat, hi: Rat) -> list[tuple[tuple[Rat, Rat], b
         raise DimensionError("isolate_roots requires lo < hi")
     if p.is_zero():
         raise DegeneratePolynomialError("cannot isolate roots of the zero polynomial")
-    if p(lo) == 0 or p(hi) == 0:
+    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise BoundaryRootError(f"polynomial vanishes at interval endpoint ({lo} or {hi})")
     if p.degree <= 0:
         return []
-    q = squarefree_part(p)
-    chain = _sturm_chain(q)
-    intervals = _isolate_squarefree(q, chain, lo, hi)
-    mult = poly_gcd(p, p.derivative())
+    q, mult = _squarefree_split(p)
+    intervals = _isolate_squarefree(q, _sturm_chain(q), lo, hi)
     out: list[tuple[tuple[Rat, Rat], bool]] = []
     for a, b in intervals:
         simple = mult.degree <= 0 or count_distinct_roots(mult, a, b) == 0
@@ -472,17 +528,19 @@ def bisect_root_interval(q: UniPoly, interval: tuple[Rat, Rat]) -> tuple[Rat, Ra
     """
     a, b = interval
     mid = (a + b) / 2
-    vm = q(mid)
-    if vm == 0:
+    sm = q.sign_at(mid)
+    if sm == 0:
         w = (b - a) / 8
         return (mid - w, mid + w)
-    if _sign(q(a)) * _sign(vm) < 0:
+    if q.sign_at(a) * sm < 0:
         return (a, mid)
     return (mid, b)
 
 
 def refine_root_interval(q: UniPoly, interval: tuple[Rat, Rat], width: Rat) -> tuple[Rat, Rat]:
     """Shrink an isolating interval of squarefree q until its width <= width."""
+    if width <= 0:
+        raise DimensionError("refine_root_interval requires a positive width")
     a, b = interval
     while b - a > width:
         a, b = bisect_root_interval(q, (a, b))

@@ -31,10 +31,12 @@ from .exactnum import (
     Rat,
     UniPoly,
     _row_echelon,
-    _sign,
+    _sturm_chain,
+    _variations,
     bisect_root_interval,
     count_distinct_roots,
     cross_product,
+    integer_rescaling,
     isolate_roots,
     kernel_basis,
     poly_gcd,
@@ -82,24 +84,36 @@ def interpolated_config(v: VectorConfig, w: VectorConfig, t: Rat | int | str) ->
     return new_config(v.r, v.n, [_column_at(v, w, j, tt) for j in range(v.n)])
 
 
-def _moving_column(v: VectorConfig, w: VectorConfig, j: int) -> list[UniPoly]:
-    """Column j of (1-t)V + tW: its r entries a + t(b-a) as polynomials."""
-    return [UniPoly.make([a, b - a]) for a, b in zip(v.mat.col(j), w.mat.col(j))]
+def _moving_columns(v: VectorConfig, w: VectorConfig) -> list[tuple[int, list[UniPoly]]]:
+    """Each column of (1-t)V + tW times a positive scale L, the lcm of the
+    denominators of its two endpoint columns: the pairs (L, the r entries
+    L(a + t(b-a)) as integer polynomials).  The factor keeps every sign and
+    root of the determinants and cross products built from the columns."""
+    r = v.r
+    out = []
+    for j in range(v.n):
+        scale, ints = integer_rescaling(v.mat.col(j) + w.mat.col(j))
+        out.append((scale, [UniPoly.make([a, b - a]) for a, b in zip(ints[:r], ints[r:])]))
+    return out
 
 
-def _cross_polys(v: VectorConfig, w: VectorConfig, idxs: tuple[int, ...]) -> list[UniPoly]:
+def _cross_polys(cols: list[tuple[int, list[UniPoly]]], idxs: tuple[int, ...]) -> list[UniPoly]:
     """exactnum.cross_product of r-1 moving columns: orthogonal to each of
-    them at every t, with coordinates of degree at most r-1.  With r = 1
-    there is nothing to cross and the vector is the constant 1."""
+    them at every t, with coordinates of degree at most r-1.  It is the
+    product of the columns' scales times the cross product of the unscaled
+    columns.  With r = 1 there is nothing to cross and the vector is the
+    constant 1."""
     if not idxs:
         return [UniPoly.make([1])]
-    return cross_product([_moving_column(v, w, j) for j in idxs])
+    return cross_product([cols[j][1] for j in idxs])
 
 
-def _det_poly(v: VectorConfig, w: VectorConfig, subset: tuple[int, ...]) -> UniPoly:
+def _det_poly(cols: list[tuple[int, list[UniPoly]]], subset: tuple[int, ...]) -> UniPoly:
     """Determinant of the moving columns in subset, of degree at most r in t:
-    the first column dotted with the cross product of the others."""
-    pairs = zip(_moving_column(v, w, subset[0]), _cross_polys(v, w, subset[1:]))
+    the first column dotted with the cross product of the others.  It is the
+    product of the columns' scales times the determinant of the unscaled
+    columns, so it has the same roots and signs."""
+    pairs = zip(cols[subset[0]][1], _cross_polys(cols, subset[1:]))
     return sum((a * u for a, u in pairs), UniPoly.zero())
 
 
@@ -109,13 +123,20 @@ def _sign_at_root(
     """Sign of q at the unique root of det_sf inside interval.
 
     Bisects the interval until q is root-free on it, so the sign at an
-    endpoint equals the sign at the root.  Nontermination would mean q
-    vanishes at the root itself, which the genericity checks exclude.
+    endpoint equals the sign at the root.  Different signs at the two ends
+    prove a root of q inside; only equal signs need q's Sturm chain, which
+    is built once.  Nontermination would mean q vanishes at the root
+    itself, which the genericity checks exclude.
     """
     a, b = interval
+    chain = None
     for _ in range(4000):
-        if q(a) != 0 and q(b) != 0 and count_distinct_roots(q, a, b) == 0:
-            return _sign(q(a))
+        sa = q.sign_at(a)
+        if sa != 0 and sa == q.sign_at(b):
+            if chain is None:
+                chain = _sturm_chain(squarefree_part(q))
+            if _variations(chain, a) == _variations(chain, b):
+                return sa
         a, b = bisect_root_interval(det_sf, (a, b))
     raise GenericityError(
         (tuple(i + 1 for i in subset),),
@@ -124,8 +145,7 @@ def _sign_at_root(
 
 
 def _classify(
-    v: VectorConfig,
-    w: VectorConfig,
+    cols: list[tuple[int, list[UniPoly]]],
     subset: tuple[int, ...],
     interval: tuple[Rat, Rat],
     det_sf: UniPoly,
@@ -139,9 +159,14 @@ def _classify(
     and remain the vertex choice throughout the following gap, so the cell
     can be sampled at t_plus.  j counts subset columns on the negative
     side of an interior point of the cell, k counts the others.
+
+    Vertex i is weighted by the scale of column i, so every vertex carries
+    the product of the subset's scales, and the point is evaluated
+    homogeneously at t_plus = a/b: it is a positive multiple of the sum of
+    the unscaled vertices, and every sign test is on integers.
     """
-    r, n = v.r, v.n
-    wpolys = {i: _cross_polys(v, w, tuple(m for m in subset if m != i)) for i in subset}
+    r = len(subset)
+    wpolys = {i: _cross_polys(cols, tuple(m for m in subset if m != i)) for i in subset}
     ref = wpolys[subset[0]]
     eps = {subset[0]: 1}
     for i in subset[1:]:
@@ -149,16 +174,16 @@ def _classify(
         eps[i] = _sign_at_root(q, det_sf, interval, subset)
     if antipodal:
         eps = {i: -e for i, e in eps.items()}
-    point = [rat(0)] * r
+    ta, tb = t_plus.numerator, t_plus.denominator
+    point = [0] * r
     for i in subset:
-        vert = wpolys[i]
-        for c in range(r):
-            point[c] += eps[i] * vert[c](t_plus)
+        weight = eps[i] * cols[i][0]
+        for c, x in enumerate(wpolys[i]):
+            point[c] += weight * x.homogeneous(ta, tb, r - 1)
     members = set(subset)
     j = k = 0
-    for m in range(n):
-        col = _column_at(v, w, m, t_plus)
-        val = sum(a * b for a, b in zip(col, point))
+    for m, (_, col) in enumerate(cols):
+        val = sum(x.homogeneous(ta, tb, 1) * y for x, y in zip(col, point))
         if val == 0:
             raise GenericityError(
                 (tuple(i + 1 for i in subset),),
@@ -199,17 +224,16 @@ def gap_samples(intervals: list[tuple[Rat, Rat]]) -> list[Rat]:
     return [(b + a) / 2 for b, a in zip(ends, starts)]
 
 
-def _validate_small_subsets(v: VectorConfig, w: VectorConfig) -> None:
+def _validate_small_subsets(cols: list[tuple[int, list[UniPoly]]], r: int) -> None:
     """For n = r, require every (r-1)-subset to stay independent on (0, 1).
 
     With no spare columns around, a degenerating (r-1)-subset would not be
     caught by the shared-root test, yet it breaks vertex classification.
     """
-    r = v.r
     if r < 2:
         return
-    for small in combinations(range(v.n), r - 1):
-        polys = _cross_polys(v, w, small)
+    for small in combinations(range(len(cols)), r - 1):
+        polys = _cross_polys(cols, small)
         g = UniPoly.zero()
         for q in polys:
             g = poly_gcd(g, q)
@@ -220,21 +244,45 @@ def _validate_small_subsets(v: VectorConfig, w: VectorConfig) -> None:
             )
 
 
+def _separate(items: list[_RootItem], rounds: int) -> bool:
+    """Sort the items by interval and bisect overlapping neighbours until
+    the intervals are disjoint.  False when the rounds do not suffice, as
+    always happens when two subsets share a root; a later call resumes."""
+    for _ in range(rounds):
+        items.sort(key=lambda it: it.interval[0])
+        overlapping = False
+        for fst, snd in zip(items, items[1:]):
+            if snd.interval[0] < fst.interval[1]:
+                fst.interval = bisect_root_interval(fst.sqfree, fst.interval)
+                snd.interval = bisect_root_interval(snd.sqfree, snd.interval)
+                overlapping = True
+        if not overlapping:
+            return True
+    return False
+
+
 def detect_mutations(v: VectorConfig, w: VectorConfig) -> MotionPath:
     """Isolate, validate, and classify all events of the straight-line motion.
 
     Raises GenericityError naming the offending column subsets when a root
     is not simple, two subsets degenerate at a shared time, or an
     intermediate dependency would make classification ambiguous.
+
+    A root two subsets share lies inside an isolating interval of each, so
+    once the intervals are separated no pair can share one.  Only when 64
+    rounds of separation do not suffice are the pairs with overlapping
+    intervals tested by a gcd, in subset order; separation then goes on for
+    up to 448 more rounds.
     """
     if (v.r, v.n) != (w.r, w.n):
         raise DimensionError("motion endpoints must have equal shapes")
     r, n = v.r, v.n
+    cols = _moving_columns(v, w)
     zero, one = rat(0), rat(1)
     items: list[_RootItem] = []
-    with_roots: list[tuple[tuple[int, ...], UniPoly]] = []
+    with_roots: list[tuple[tuple[int, ...], UniPoly, list[_RootItem]]] = []
     for subset in combinations(range(n), r):
-        poly = _det_poly(v, w, subset)
+        poly = _det_poly(cols, subset)
         found = isolate_roots(poly, zero, one)
         if not found:
             continue
@@ -244,30 +292,28 @@ def detect_mutations(v: VectorConfig, w: VectorConfig) -> MotionPath:
                 f"columns {[i + 1 for i in subset]} have a multiple degeneracy time",
             )
         sqfree = squarefree_part(poly)
-        with_roots.append((subset, poly))
-        for interval, _ in found:
-            items.append(_RootItem(subset, poly, sqfree, interval))
-    for (s1, p1), (s2, p2) in combinations(with_roots, 2):
-        shared = poly_gcd(p1, p2)
-        if shared.degree >= 1 and count_distinct_roots(shared, zero, one) > 0:
-            raise GenericityError(
-                (tuple(i + 1 for i in s1), tuple(i + 1 for i in s2)),
-                f"columns {[i + 1 for i in s1]} and {[i + 1 for i in s2]}"
-                " degenerate at a shared time",
-            )
+        own = [_RootItem(subset, poly, sqfree, interval) for interval, _ in found]
+        with_roots.append((subset, poly, own))
+        items.extend(own)
+    separated = _separate(items, 64)
+    if not separated:
+        for (s1, p1, own1), (s2, p2, own2) in combinations(with_roots, 2):
+            if not any(
+                x.interval[0] < y.interval[1] and y.interval[0] < x.interval[1]
+                for x in own1
+                for y in own2
+            ):
+                continue
+            shared = poly_gcd(p1, p2)
+            if shared.degree >= 1 and count_distinct_roots(shared, zero, one) > 0:
+                raise GenericityError(
+                    (tuple(i + 1 for i in s1), tuple(i + 1 for i in s2)),
+                    f"columns {[i + 1 for i in s1]} and {[i + 1 for i in s2]}"
+                    " degenerate at a shared time",
+                )
     if n == r:
-        _validate_small_subsets(v, w)
-    for _ in range(512):
-        items.sort(key=lambda it: it.interval[0])
-        overlapping = False
-        for fst, snd in zip(items, items[1:]):
-            if snd.interval[0] < fst.interval[1]:
-                fst.interval = bisect_root_interval(fst.sqfree, fst.interval)
-                snd.interval = bisect_root_interval(snd.sqfree, snd.interval)
-                overlapping = True
-        if not overlapping:
-            break
-    else:
+        _validate_small_subsets(cols, r)
+    if not separated and not _separate(items, 448):
         raise GenericityError(
             tuple(tuple(i + 1 for i in it.subset) for it in items),
             "event intervals failed to separate",
@@ -275,9 +321,9 @@ def detect_mutations(v: VectorConfig, w: VectorConfig) -> MotionPath:
     samples = gap_samples([item.interval for item in items])
     events = []
     for item, t_plus in zip(items, samples):
-        raw = _classify(v, w, item.subset, item.interval, item.sqfree, t_plus, False)
-        before = _sign(item.poly(item.interval[0]))
-        after = _sign(item.poly(item.interval[1]))
+        raw = _classify(cols, item.subset, item.interval, item.sqfree, t_plus, False)
+        before = item.poly.sign_at(item.interval[0])
+        after = item.poly.sign_at(item.interval[1])
         if before != -after or before == 0:
             raise GenericityError(
                 (tuple(i + 1 for i in item.subset),),
@@ -306,11 +352,10 @@ def classify_event(path: MotionPath, index: int, antipodal: bool = False) -> tup
         raise DimensionError(f"event index {index} out of range")
     ev = path.events[index]
     subset = tuple(i - 1 for i in ev.subset)
-    poly = _det_poly(path.start, path.end, subset)
+    cols = _moving_columns(path.start, path.end)
     t_plus = gap_samples([e.interval for e in path.events])[index]
-    return _classify(
-        path.start, path.end, subset, ev.interval, squarefree_part(poly), t_plus, antipodal
-    )
+    sqfree = squarefree_part(_det_poly(cols, subset))
+    return _classify(cols, subset, ev.interval, sqfree, t_plus, antipodal)
 
 
 def _increment_rows(r: int, n: int, jk: tuple[int, int]) -> list[list[int]]:

@@ -94,7 +94,7 @@ def _rows_and_vector(draw):
     return rows, draw(st.lists(entry, min_size=k + 1, max_size=k + 1))
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=150)
 @given(_rows_and_vector())
 def test_cross_product_matches_bareiss_minors(case):
     rows, a = case
@@ -221,3 +221,88 @@ def test_bisect_keeps_sign_change():
     a, b = interval
     assert a < Fraction(1, 2) < b
     assert b - a <= Fraction(1, 32)
+
+
+def test_count_distinct_roots_rejects_reversed_interval():
+    p = UniPoly.make([1, -2])
+    with pytest.raises(DimensionError):
+        count_distinct_roots(p, Fraction(1), Fraction(0))
+    with pytest.raises(DimensionError):
+        count_distinct_roots(p, Fraction(1, 3), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 8)])
+def test_refinement_rejects_nonpositive_width(width):
+    p = UniPoly.make([1, -2])
+    with pytest.raises(DimensionError):
+        refine_root_interval(p, (Fraction(0), Fraction(1)), width)
+
+
+def test_sturm_count_across_a_degree_gap():
+    # t^4 + 4t - 1: its Sturm chain drops from degree 3 to the remainder
+    # 1 - 3t, whose negative leading coefficient enters three
+    # pseudo-division steps; real roots near -1.49 and 0.25
+    p = UniPoly.make([-1, 4, 0, 0, 1])
+    cases = {(-10, 10): 2, (-2, 0): 1, (0, 1): 1, (1, 10): 0, (-10, -2): 0}
+    for (lo, hi), want in cases.items():
+        assert count_distinct_roots(p, Fraction(lo), Fraction(hi)) == want
+    found = isolate_roots(p, Fraction(-2), Fraction(1))
+    assert [p.sign_at(a) * p.sign_at(b) for (a, b), _ in found] == [-1, -1]
+
+
+def test_rational_input_is_stored_as_a_positive_integer_multiple():
+    p = UniPoly.make([Fraction(-1, 4), 0, Fraction(1, 6)])
+    assert p.coeffs == (-3, 0, 2)
+    assert UniPoly.make([6, -4]).coeffs == (6, -4)
+    assert UniPoly.make([0, 0]).is_zero()
+
+
+def test_gcd_and_squarefree_part_are_primitive_with_positive_lead():
+    # -6(t - 1)^2 (2t + 3) against 4(t - 1)(5t - 2)
+    lin = UniPoly.make([-1, 1])
+    a = UniPoly.make([-6]).mul(lin).mul(lin).mul(UniPoly.make([3, 2]))
+    b = UniPoly.make([4]).mul(lin).mul(UniPoly.make([-2, 5]))
+    assert poly_gcd(a, b).coeffs == (-1, 1)
+    assert poly_gcd(a.neg(), b).coeffs == (-1, 1)
+    assert squarefree_part(a).coeffs == lin.mul(UniPoly.make([3, 2])).coeffs
+    assert poly_gcd(UniPoly.make([3, 2]), lin).coeffs == (1,)
+    assert poly_gcd(UniPoly.zero(), UniPoly.make([-4, -6])).coeffs == (2, 3)
+    assert poly_gcd(UniPoly.zero(), UniPoly.zero()).is_zero()
+
+
+def test_sign_at_matches_exact_value():
+    p = UniPoly.make([5, -7, 0, 3])
+    for x in (Fraction(-9, 4), Fraction(0), Fraction(1, 3), Fraction(7, 5), Fraction(-1)):
+        value = p(x)
+        assert p.sign_at(x) == (value > 0) - (value < 0)
+        assert p.homogeneous(x.numerator, x.denominator, 5) == value * x.denominator**5
+    with pytest.raises(DimensionError):
+        p.homogeneous(1, 2, 2)
+    assert UniPoly.make([0, 3, -6]).sign_at(Fraction(1, 2)) == 0
+
+
+_ROOT = st.tuples(st.integers(-40, 40), st.integers(1, 30)).map(lambda pq: Fraction(*pq))
+
+
+@settings(max_examples=150)
+@given(
+    roots=st.lists(_ROOT, min_size=1, max_size=6, unique=True),
+    lead=st.integers(-5, 5).filter(bool),
+)
+def test_isolation_finds_each_rational_root(roots, lead):
+    # lead times the product of (q t - p) over the distinct roots p/q
+    p = UniPoly.make([lead])
+    for x in roots:
+        p = p.mul(UniPoly.make([-x.numerator, x.denominator]))
+    if any(x in (0, 1) for x in roots):
+        with pytest.raises(BoundaryRootError):
+            isolate_roots(p, Fraction(0), Fraction(1))
+        return
+    inside = sorted(x for x in roots if 0 < x < 1)
+    found = isolate_roots(p, Fraction(0), Fraction(1))
+    assert len(found) == len(inside)
+    for ((a, b), simple), x in zip(found, inside):
+        assert simple and 0 <= a < x < b <= 1
+    assert all(b1 <= a2 for ((_, b1), _), ((a2, _), _) in zip(found, found[1:]))
+    assert count_distinct_roots(p, Fraction(0), Fraction(1)) == len(inside)
+    assert count_distinct_roots(p, Fraction(-41), Fraction(41)) == len(roots)

@@ -127,7 +127,7 @@ def _gale_histogram(v):
     return fstar_from_patterns(dependency_patterns(v), v.r, v.n)
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100)
 @given(
     shape=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
     seed=st.integers(0, 2**31 - 1),

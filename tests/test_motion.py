@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from arrlevels.config import gen_cyclic, gen_random, integer_columns, is_pointed, new_config
 from arrlevels.errors import GeneralPositionError, GenericityError
 from arrlevels.faces import f_matrix
 from arrlevels.exactnum import Mat, det
-from arrlevels.gmatrix import g_of_pair
+from arrlevels.gmatrix import g_from_fmatrices, g_of_pair
 from arrlevels.motion import (
     _cross_polys,
     _det_poly,
+    _moving_columns,
     classify_event,
     detect_mutations,
     events_to_json,
@@ -231,6 +235,14 @@ def _scalar_cross(cols: list[tuple[Fraction, ...]], r: int) -> list[Fraction]:
     return out
 
 
+def _scales(v, w, idxs) -> int:
+    # a moving column is scaled by the lcm of its endpoint denominators
+    out = 1
+    for j in idxs:
+        out *= math.lcm(*(x.denominator for x in v.mat.col(j) + w.mat.col(j)))
+    return out
+
+
 @pytest.mark.parametrize("n,r", [(1, 1), (3, 1), (4, 2), (5, 3), (6, 4), (8, 5)])
 @pytest.mark.parametrize("kind", ["plain", "pointed", "perturbed"])
 def test_motion_polynomials_match_pointwise_determinants(n, r, kind):
@@ -243,14 +255,34 @@ def test_motion_polynomials_match_pointwise_determinants(n, r, kind):
     # r+2 points fix a polynomial of degree <= r+1, so agreement is equality
     times = [Fraction(2 * i - 1, 3) for i in range(r + 2)]
     configs = [interpolated_config(v, w, t) for t in times]
+    cols = _moving_columns(v, w)
     for subset in combinations(range(n), r):
-        poly = _det_poly(v, w, subset)
+        poly = _det_poly(cols, subset)
         assert poly.degree <= r
         for t, cfg in zip(times, configs):
-            assert poly(t) == det(cfg.mat.select_cols(subset))
+            assert poly(t) == _scales(v, w, subset) * det(cfg.mat.select_cols(subset))
     for small in combinations(range(n), r - 1):
-        polys = _cross_polys(v, w, small)
+        polys = _cross_polys(cols, small)
         assert len(polys) == r and all(q.degree <= r - 1 for q in polys)
         for t, cfg in zip(times, configs):
             want = _scalar_cross([cfg.mat.col(j) for j in small], r) if small else [1]
-            assert [q(t) for q in polys] == want
+            assert [q(t) for q in polys] == [_scales(v, w, small) * x for x in want]
+
+
+@settings(max_examples=150)
+@given(
+    shape=st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 4)))),
+    seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1), st.integers(0, 99)),
+    pointed=st.booleans(),
+)
+def test_motion_route_equals_algebra_after_perturb(shape, seeds, pointed):
+    # the traced route against the f-matrix route on a perturbed target
+    n, r = shape
+    sv, sw, sp = seeds
+    v = gen_random(n, r, sv, pointed=pointed)
+    w = perturb(gen_random(n, r, sw, pointed=pointed), seed=sp)
+    try:
+        g = g_from_motion(v, w)
+    except GenericityError:
+        reject()
+    assert g == g_from_fmatrices(f_matrix(v), f_matrix(w))
