@@ -39,7 +39,7 @@ from .errors import (
     GenericityError,
     InconsistentInputError,
 )
-from .exactnum import Mat, Rat, det, inverse, isolate_roots, kernel_basis, rank, rat
+from .exactnum import Mat, Rat, det, isolate_roots, kernel_basis, rank, rat
 from .faces import (
     FMatrix,
     FStarMatrix,

@@ -8,10 +8,16 @@ indexed 1..n in the public API.  Provided here:
   alternating-sign cocyclic variant), plus seeded random sampling;
 * Gale duality (a rank n-r configuration orthogonal to V, unique up to
   linear isomorphism, which is invisible to every count we compute);
-* contraction (orthogonal projection onto a column's hyperplane) and
-  deletion of a column;
+* contraction of a column (the other columns in the quotient of R^r by
+  its span, in the coordinates of one pivot step) and deletion of a column;
 * extremality and (co)neighborliness predicates, which delegate the sign
   pattern enumeration to the faces module.
+
+General position is checked once, in ``new_config``, where a configuration
+comes in from outside.  The derived configurations (Gale dual, contraction,
+deletion, rescaled column, linear image) are built directly: each is again
+in general position whenever its input is, so checking them would only
+repeat the input's check.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import (
     FileFormatError,
     GeneralPositionError,
 )
-from .exactnum import Mat, Rat, integer_rescaling, inverse, kernel_basis, rat, rat_str, _int_det
+from .exactnum import Mat, Rat, det, integer_rescaling, kernel_basis, rat, rat_str, _int_det
 
 
 @dataclass(frozen=True)
@@ -151,11 +157,7 @@ def gale_dual(v: VectorConfig) -> VectorConfig:
     """A rank n-r configuration W with V W^T = 0 (columns paired by index)."""
     if v.n == v.r:
         raise DimensionError("Gale dual of a full-rank square configuration is empty")
-    k = kernel_basis(v.mat)  # n x (n-r)
-    dual_mat = k.transpose()  # (n-r) x n
-    out = VectorConfig(v.n - v.r, v.n, dual_mat)
-    _check_general_position(out.r, out.n, integer_columns(out))
-    return out
+    return VectorConfig(v.n - v.r, v.n, kernel_basis(v.mat).transpose())
 
 
 def delete(v: VectorConfig, i: int) -> VectorConfig:
@@ -169,27 +171,23 @@ def delete(v: VectorConfig, i: int) -> VectorConfig:
 
 
 def contract(v: VectorConfig, i: int) -> VectorConfig:
-    """Project the other columns orthogonally onto v_i's hyperplane.
+    """The other columns in the quotient of R^r by the span of v_i.
 
-    Coordinates are taken in a rational kernel basis of v_i; the face
-    counts downstream are invariant under the basis choice.
+    With p the first nonzero coordinate of v_i, one pivot step maps each
+    column x to v_i[p] x - x_p v_i, whose coordinate p is zero; the map's
+    kernel is span(v_i), so dropping coordinate p gives coordinates on the
+    quotient.  Any other choice of coordinates differs by a linear
+    isomorphism, which no count downstream can see.
     """
     if v.r < 2:
         raise DimensionError("contraction requires rank >= 2")
-    if not 1 <= i <= v.n:
-        raise DimensionError(f"column index {i} out of range 1..{v.n}")
     vi = v.column(i)
-    basis = kernel_basis(Mat(1, v.r, (vi,)))  # r x (r-1)
-    frame = Mat(v.r, v.r, tuple(basis.row(k) + (vi[k],) for k in range(v.r)))
-    frame_inv = inverse(frame)
-    cols = []
-    for j in range(v.n):
-        if j == i - 1:
-            continue
-        coords = frame_inv.mul(Mat(v.r, 1, tuple((x,) for x in v.mat.col(j))))
-        cols.append([coords.entries[k][0] for k in range(v.r - 1)])
-    out = new_config(v.r - 1, v.n - 1, cols)
-    return out
+    p = next(k for k, x in enumerate(vi) if x != 0)
+    others = [x for j, x in enumerate(v.columns()) if j != i - 1]
+    rows = tuple(
+        tuple(vi[p] * x[k] - x[p] * vi[k] for x in others) for k in range(v.r) if k != p
+    )
+    return VectorConfig(v.r - 1, v.n - 1, Mat(v.r - 1, v.n - 1, rows))
 
 
 def scale_column(v: VectorConfig, i: int, c: int | str | Fraction) -> VectorConfig:
@@ -200,18 +198,19 @@ def scale_column(v: VectorConfig, i: int, c: int | str | Fraction) -> VectorConf
     c = rat(c)
     if c == 0:
         raise DimensionError("column scale must be nonzero")
-    cols = [list(col) for col in v.columns()]
-    cols[i - 1] = [c * x for x in cols[i - 1]]
-    return new_config(v.r, v.n, cols)
+    rows = tuple(
+        tuple(c * x if j == i - 1 else x for j, x in enumerate(row)) for row in v.mat.entries
+    )
+    return VectorConfig(v.r, v.n, Mat(v.r, v.n, rows))
 
 
 def transform(v: VectorConfig, a: Mat) -> VectorConfig:
     """Apply an invertible linear map A to every column."""
     if a.nrows != v.r or a.ncols != v.r:
         raise DimensionError("transform matrix must be r x r")
-    inverse(a)  # raises when singular
-    prod = a.mul(v.mat)
-    return VectorConfig(v.r, v.n, prod)
+    if det(a) == 0:
+        raise DimensionError("matrix is singular")
+    return VectorConfig(v.r, v.n, a.mul(v.mat))
 
 
 def is_extremal(v: VectorConfig, subset: Iterable[int]) -> bool:

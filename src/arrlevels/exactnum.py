@@ -232,18 +232,6 @@ def rank(m: Mat) -> int:
     return len(_row_echelon(m)[1])
 
 
-def inverse(m: Mat) -> Mat:
-    """Exact inverse of a square matrix; DimensionError when singular."""
-    if m.nrows != m.ncols:
-        raise DimensionError("inverse of a non-square matrix")
-    n = m.nrows
-    aug = Mat(n, 2 * n, tuple(row + Mat.identity(n).row(i) for i, row in enumerate(m.entries)))
-    rows, pivots = _row_echelon(aug)
-    if pivots[:n] != list(range(n)):
-        raise DimensionError("matrix is singular")
-    return Mat(n, n, tuple(tuple(row[n:]) for row in rows[:n]))
-
-
 def kernel_basis(m: Mat) -> Mat:
     """Basis of the right kernel of m, returned as columns of a matrix.
 
@@ -502,6 +490,7 @@ def isolate_roots(p: UniPoly, lo: Rat, hi: Rat) -> list[tuple[tuple[Rat, Rat], b
     each tagged True when the root is simple (multiplicity 1 in p).
     Interval endpoints are certified non-roots.
     """
+    lo, hi = rat(lo), rat(hi)
     if lo >= hi:
         raise DimensionError("isolate_roots requires lo < hi")
     if p.is_zero():
@@ -520,13 +509,14 @@ def isolate_roots(p: UniPoly, lo: Rat, hi: Rat) -> list[tuple[tuple[Rat, Rat], b
 
 
 def bisect_root_interval(q: UniPoly, interval: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
-    """Halve an isolating interval of a squarefree q (exactly one root inside).
+    """Halve an interval holding exactly one root of q, a simple one (as an
+    isolating interval of a squarefree q does).
 
     The sign of q changes across the root, so one midpoint sign test picks
     the half containing it.  When the midpoint happens to be the root, a
     small window around it is returned instead.
     """
-    a, b = interval
+    a, b = rat(interval[0]), rat(interval[1])
     mid = (a + b) / 2
     sm = q.sign_at(mid)
     if sm == 0:

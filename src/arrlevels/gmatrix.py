@@ -264,27 +264,25 @@ def check_contraction_deletion(v: VectorConfig, w: VectorConfig, mode: str) -> R
     if mode == "contract":
         if r < 2:
             raise DimensionError("contract mode needs r >= 2")
-        minors = [g_of_pair(contract(v, i), contract(w, i)) for i in range(1, n + 1)]
-        for j in range(r):
-            for k in range(n - r + 1):
-                left = sum(m.entry(j, k) for m in minors)
-                right = (r - j) * g.entry(j, k) + (j + 1) * g.entry(j + 1, k)
-                if left != right:
-                    return RelationReport(
-                        "contraction", False, f"(j={j},k={k}): minors sum {left} != {right}"
-                    )
-        return RelationReport("contraction", True)
-    if mode == "delete":
+        relation, minor = "contraction", contract
+
+        def right(j: int, k: int) -> int:
+            return (r - j) * g.entry(j, k) + (j + 1) * g.entry(j + 1, k)
+
+    elif mode == "delete":
         if n < r + 1:
             raise DimensionError("delete mode needs n >= r+1")
-        minors = [g_of_pair(delete(v, i), delete(w, i)) for i in range(1, n + 1)]
-        for j in range(r + 1):
-            for k in range(n - r):
-                left = sum(m.entry(j, k) for m in minors)
-                right = (n - r - k) * g.entry(j, k) + (k + 1) * g.entry(j, k + 1)
-                if left != right:
-                    return RelationReport(
-                        "deletion", False, f"(j={j},k={k}): minors sum {left} != {right}"
-                    )
-        return RelationReport("deletion", True)
-    raise DimensionError(f"unknown mode {mode!r}")
+        relation, minor = "deletion", delete
+
+        def right(j: int, k: int) -> int:
+            return (n - r - k) * g.entry(j, k) + (k + 1) * g.entry(j, k + 1)
+
+    else:
+        raise DimensionError(f"unknown mode {mode!r}")
+    minors = [g_of_pair(minor(v, i), minor(w, i)) for i in range(1, n + 1)]
+    for j, row in enumerate(minors[0].rows):
+        for k in range(len(row)):
+            left, want = sum(m.entry(j, k) for m in minors), right(j, k)
+            if left != want:
+                return RelationReport(relation, False, f"(j={j},k={k}): minors sum {left} != {want}")
+    return RelationReport(relation, True)

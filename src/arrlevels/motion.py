@@ -118,9 +118,9 @@ def _det_poly(cols: list[tuple[int, list[UniPoly]]], subset: tuple[int, ...]) ->
 
 
 def _sign_at_root(
-    q: UniPoly, det_sf: UniPoly, interval: tuple[Rat, Rat], subset: tuple[int, ...]
+    q: UniPoly, det: UniPoly, interval: tuple[Rat, Rat], subset: tuple[int, ...]
 ) -> int:
-    """Sign of q at the unique root of det_sf inside interval.
+    """Sign of q at the simple root of det isolated by interval.
 
     Bisects the interval until q is root-free on it, so the sign at an
     endpoint equals the sign at the root.  Different signs at the two ends
@@ -137,7 +137,7 @@ def _sign_at_root(
                 chain = _sturm_chain(squarefree_part(q))
             if _variations(chain, a) == _variations(chain, b):
                 return sa
-        a, b = bisect_root_interval(det_sf, (a, b))
+        a, b = bisect_root_interval(det, (a, b))
     raise GenericityError(
         (tuple(i + 1 for i in subset),),
         "alignment sign undecidable; vertex direction degenerates at the event",
@@ -148,7 +148,7 @@ def _classify(
     cols: list[tuple[int, list[UniPoly]]],
     subset: tuple[int, ...],
     interval: tuple[Rat, Rat],
-    det_sf: UniPoly,
+    det: UniPoly,
     t_plus: Rat,
     antipodal: bool,
 ) -> tuple[int, int]:
@@ -171,7 +171,7 @@ def _classify(
     eps = {subset[0]: 1}
     for i in subset[1:]:
         q = sum((a * b for a, b in zip(wpolys[i], ref)), UniPoly.zero())
-        eps[i] = _sign_at_root(q, det_sf, interval, subset)
+        eps[i] = _sign_at_root(q, det, interval, subset)
     if antipodal:
         eps = {i: -e for i, e in eps.items()}
     ta, tb = t_plus.numerator, t_plus.denominator
@@ -204,12 +204,11 @@ def _canonical_type(jk: tuple[int, int], r: int, n: int) -> tuple[int, int]:
 
 
 class _RootItem:
-    __slots__ = ("subset", "poly", "sqfree", "interval")
+    __slots__ = ("subset", "poly", "interval")
 
-    def __init__(self, subset, poly, sqfree, interval):
+    def __init__(self, subset, poly, interval):
         self.subset = subset
         self.poly = poly
-        self.sqfree = sqfree
         self.interval = interval
 
 
@@ -253,8 +252,8 @@ def _separate(items: list[_RootItem], rounds: int) -> bool:
         overlapping = False
         for fst, snd in zip(items, items[1:]):
             if snd.interval[0] < fst.interval[1]:
-                fst.interval = bisect_root_interval(fst.sqfree, fst.interval)
-                snd.interval = bisect_root_interval(snd.sqfree, snd.interval)
+                fst.interval = bisect_root_interval(fst.poly, fst.interval)
+                snd.interval = bisect_root_interval(snd.poly, snd.interval)
                 overlapping = True
         if not overlapping:
             return True
@@ -273,6 +272,11 @@ def detect_mutations(v: VectorConfig, w: VectorConfig) -> MotionPath:
     rounds of separation do not suffice are the pairs with overlapping
     intervals tested by a gcd, in subset order; separation then goes on for
     up to 448 more rounds.
+
+    Intervals are bisected on the determinant polynomial itself.  Its roots
+    in [0, 1] are all simple once validated, so it is its squarefree part
+    times a factor of constant sign there, and every midpoint sign test
+    picks the half the squarefree part would.
     """
     if (v.r, v.n) != (w.r, w.n):
         raise DimensionError("motion endpoints must have equal shapes")
@@ -291,8 +295,7 @@ def detect_mutations(v: VectorConfig, w: VectorConfig) -> MotionPath:
                 (tuple(i + 1 for i in subset),),
                 f"columns {[i + 1 for i in subset]} have a multiple degeneracy time",
             )
-        sqfree = squarefree_part(poly)
-        own = [_RootItem(subset, poly, sqfree, interval) for interval, _ in found]
+        own = [_RootItem(subset, poly, interval) for interval, _ in found]
         with_roots.append((subset, poly, own))
         items.extend(own)
     separated = _separate(items, 64)
@@ -321,7 +324,7 @@ def detect_mutations(v: VectorConfig, w: VectorConfig) -> MotionPath:
     samples = gap_samples([item.interval for item in items])
     events = []
     for item, t_plus in zip(items, samples):
-        raw = _classify(cols, item.subset, item.interval, item.sqfree, t_plus, False)
+        raw = _classify(cols, item.subset, item.interval, item.poly, t_plus, False)
         before = item.poly.sign_at(item.interval[0])
         after = item.poly.sign_at(item.interval[1])
         if before != -after or before == 0:
@@ -354,8 +357,7 @@ def classify_event(path: MotionPath, index: int, antipodal: bool = False) -> tup
     subset = tuple(i - 1 for i in ev.subset)
     cols = _moving_columns(path.start, path.end)
     t_plus = gap_samples([e.interval for e in path.events])[index]
-    sqfree = squarefree_part(_det_poly(cols, subset))
-    return _classify(cols, subset, ev.interval, sqfree, t_plus, antipodal)
+    return _classify(cols, subset, ev.interval, _det_poly(cols, subset), t_plus, antipodal)
 
 
 def _increment_rows(r: int, n: int, jk: tuple[int, int]) -> list[list[int]]:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .config import VectorConfig, gen_cocyclic, gen_cyclic, gen_random, moment_point, new_config
 from .errors import DimensionError, GeneralPositionError, InconsistentInputError
-from .exactnum import Mat, Rat, rank, rat
+from .exactnum import Mat, Rat, _row_echelon, rat
 from .faces import f_matrix
 from .gmatrix import g_of_pair, small_from_full
 
@@ -64,39 +64,27 @@ def theoretical_dim(n: int, r: int, mode: str) -> int:
     raise ValueError(f"mode must be 'general' or 'pointed', got {mode!r}")
 
 
-def exact_rank(vectors: Sequence[Sequence[Rat | int | str]]) -> int:
-    """Rank over the rationals of a family of equal-length vectors."""
+def greedy_basis(vectors: Sequence[Sequence[Rat | int | str]]) -> list[int]:
+    """Indices of a maximal independent subfamily, greedy in input order:
+    the pivot columns of the matrix with the vectors as its columns."""
     rows = [tuple(rat(x) for x in vec) for vec in vectors]
     if not rows:
-        return 0
+        return []
     width = len(rows[0])
     if any(len(row) != width for row in rows):
-        raise DimensionError("rank input vectors differ in length")
-    if width == 0:
-        return 0
-    return rank(Mat.from_rows(rows))
+        raise DimensionError("input vectors differ in length")
+    return _row_echelon(Mat(width, len(rows), tuple(zip(*rows))))[1]
 
 
-def greedy_basis(vectors: Sequence[Sequence[Rat | int | str]]) -> list[int]:
-    """Indices of a maximal independent subfamily, greedy in input order."""
-    reduced: list[tuple[int, list[Rat]]] = []
-    chosen: list[int] = []
-    width = None
-    for idx, vec in enumerate(vectors):
-        row = [rat(x) for x in vec]
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DimensionError("basis input vectors differ in length")
-        for piv, base in reduced:
-            if row[piv] != 0:
-                c = row[piv] / base[piv]
-                row = [a - c * b for a, b in zip(row, base)]
-        piv = next((i for i, x in enumerate(row) if x != 0), None)
-        if piv is not None:
-            reduced.append((piv, row))
-            chosen.append(idx)
-    return chosen
+def exact_rank(vectors: Sequence[Sequence[Rat | int | str]]) -> int:
+    """Rank over the rationals of a family of equal-length vectors."""
+    return len(greedy_basis(vectors))
+
+
+def _report(n: int, r: int, mode: str, dim: int, vectors: list, labels: list[str]) -> SpanReport:
+    """One elimination per report: the rank is the size of the greedy basis."""
+    basis = greedy_basis(vectors)
+    return SpanReport(n, r, mode, len(vectors), len(basis), dim, tuple(labels[i] for i in basis))
 
 
 def _flatten_small(g, mode: str) -> tuple[Rat, ...]:
@@ -197,23 +185,9 @@ def g_span_rank(n: int, r: int, mode: str, samples: int, seed: int) -> SpanRepor
         raise DimensionError(f"need n > r >= 1, got r={r}, n={n}")
     if samples < dim:
         raise DimensionError(f"need at least {dim} samples for shape ({n},{r}), got {samples}")
-    vectors = []
-    labels = []
-    for va, vb, label in _pair_pool(n, r, mode, samples, seed):
-        g = g_of_pair(va, vb)
-        vectors.append(_flatten_small(g, mode))
-        labels.append(label)
-    achieved = exact_rank(vectors) if dim > 0 else 0
-    basis = greedy_basis(vectors) if dim > 0 else []
-    return SpanReport(
-        n=n,
-        r=r,
-        mode=mode,
-        samples_used=len(vectors),
-        achieved_rank=achieved,
-        theoretical_dim=dim,
-        basis_seeds=tuple(labels[i] for i in basis),
-    )
+    pool = _pair_pool(n, r, mode, samples, seed)
+    vectors = [_flatten_small(g_of_pair(va, vb), mode) for va, vb, _ in pool]
+    return _report(n, r, mode, dim, vectors, [label for _, _, label in pool])
 
 
 def _config_pool(n: int, r: int, mode: str, samples: int, seed: int):
@@ -243,28 +217,10 @@ def f_affine_span_rank(n: int, r: int, mode: str, samples: int, seed: int) -> Sp
         raise DimensionError(f"need n > r >= 1, got r={r}, n={n}")
     if samples < max(dim, 1):
         raise DimensionError(f"need at least {max(dim, 1)} samples for shape ({n},{r}), got {samples}")
-    base = gen_cyclic(n, r)
-    fbase = f_matrix(base)
-    vectors = []
-    labels = []
-    for cfg, label in _config_pool(n, r, mode, samples, seed):
-        fm = f_matrix(cfg)
-        vectors.append(
-            tuple(
-                rat(fm.rows[s][t] - fbase.rows[s][t])
-                for s in range(r)
-                for t in range(n + 1)
-            )
-        )
-        labels.append(f"cyclic({n},{r}) -> {label}")
-    achieved = exact_rank(vectors)
-    basis = greedy_basis(vectors)
-    return SpanReport(
-        n=n,
-        r=r,
-        mode=mode,
-        samples_used=len(vectors),
-        achieved_rank=achieved,
-        theoretical_dim=dim,
-        basis_seeds=tuple(labels[i] for i in basis),
-    )
+    fbase = f_matrix(gen_cyclic(n, r))
+    pool = _config_pool(n, r, mode, samples, seed)
+    vectors = [
+        tuple(rat(x - y) for row, brow in zip(f_matrix(cfg).rows, fbase.rows) for x, y in zip(row, brow))
+        for cfg, _ in pool
+    ]
+    return _report(n, r, mode, dim, vectors, [f"cyclic({n},{r}) -> {label}" for _, label in pool])

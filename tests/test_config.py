@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrlevels.config import (
     config_from_json,
@@ -33,7 +35,7 @@ from arrlevels.errors import (
     GeneralPositionError,
 )
 from arrlevels.exactnum import Mat
-from arrlevels.faces import f_matrix, fstar_matrix
+from arrlevels.faces import dissection_patterns, f_matrix, fstar_matrix
 
 
 TRIANGLE = new_config(2, 3, [(1, 0), (0, 1), (1, 1)])
@@ -223,3 +225,57 @@ def test_json_rejects_bad_fields():
         config_from_json({"r": 2, "n": 3})
     with pytest.raises(FileFormatError):
         config_from_json({"r": 2, "n": 1, "vectors": [["1", "0"]]})
+
+
+# (n, r, seed, pointed) of a random configuration with n <= 8
+_SHAPES = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(0, 2**31 - 1), st.booleans())
+)
+
+
+@settings(max_examples=100)
+@given(
+    shape=_SHAPES,
+    index=st.integers(1, 8),
+    c=st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(lambda c: c != 0),
+)
+def test_derived_configurations_pass_validation(shape, index, c):
+    # derived configurations are built without a general-position check;
+    # new_config performs it on their columns
+    n, r, seed, pointed = shape
+    v = gen_random(n, r, seed, pointed=pointed)
+    i = 1 + (index - 1) % n
+    derived = [scale_column(v, i, c)]
+    assert derived[0].columns() == [
+        tuple(c * x for x in col) if j == i else col for j, col in enumerate(v.columns(), start=1)
+    ]
+    if r >= 2:
+        derived.append(contract(v, i))
+    if n > r:
+        derived.append(gale_dual(v))
+    for w in derived:
+        assert new_config(w.r, w.n, w.columns()) == w
+
+
+def _histogram(patterns, r: int, n: int):
+    grid = [[0] * (n + 1) for _ in range(r)]
+    for p in patterns:
+        grid[p.count(0)][p.count(-1)] += 1
+    return tuple(tuple(row) for row in grid)
+
+
+@settings(max_examples=100)
+@given(shape=_SHAPES, index=st.integers(1, 8))
+def test_minor_face_counts_from_the_parent_patterns(shape, index):
+    # the faces of V/i are those of V with X_i = 0, and the faces of V\i
+    # are those of V, each with coordinate i dropped
+    n, r, seed, pointed = shape
+    v = gen_random(n, r, seed, pointed=pointed)
+    i = 1 + (index - 1) % n
+    patterns = dissection_patterns(v)
+    if r >= 2:
+        kept = {p[: i - 1] + p[i:] for p in patterns if p[i - 1] == 0}
+        assert f_matrix(contract(v, i)).rows == _histogram(kept, r - 1, n - 1)
+    if n > r:
+        kept = {p[: i - 1] + p[i:] for p in patterns}
+        assert f_matrix(delete(v, i)).rows == _histogram(kept, r, n - 1)

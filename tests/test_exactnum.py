@@ -17,7 +17,6 @@ from arrlevels.exactnum import (
     count_distinct_roots,
     cross_product,
     det,
-    inverse,
     isolate_roots,
     kernel_basis,
     poly_gcd,
@@ -139,9 +138,18 @@ def test_rank_examples():
     assert rank(Mat.zeros(0, 0)) == 0
 
 
-def test_inverse_round_trip():
-    m = Mat.from_rows([[2, 1], [1, 1]])
-    assert m.mul(inverse(m)).entries == Mat.identity(2).entries
+def test_isolate_roots_accepts_integer_endpoints():
+    found = isolate_roots(UniPoly.make([1, -5, 6]), 0, 1)  # (2t - 1)(3t - 1)
+    assert [simple for _, simple in found] == [True, True]
+    (a1, b1), (a2, b2) = (interval for interval, _ in found)
+    assert a1 < Fraction(1, 3) < b1 <= a2 < Fraction(1, 2) < b2
+    assert all(type(x) is Fraction for x in (a1, b1, a2, b2))
+
+
+def test_bisect_root_interval_accepts_integer_endpoints():
+    a, b = bisect_root_interval(UniPoly.make([-1, 2]), (0, 1))
+    assert a < Fraction(1, 2) < b < 1
+    assert type(a) is Fraction and type(b) is Fraction
 
 
 def test_poly_gcd_and_squarefree():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from arrlevels import gmatrix
 from arrlevels.config import gale_dual, gen_cocyclic, gen_cyclic, gen_random
 from arrlevels.errors import InconsistentInputError
 from arrlevels.faces import FMatrix, dependency_patterns, f_matrix, fstar_from_patterns
@@ -287,6 +288,45 @@ def test_minor_identities_trivial_pair():
     v = gen_cyclic(6, 3)
     assert check_contraction_deletion(v, v, "contract").holds
     assert check_contraction_deletion(v, v, "delete").holds
+
+
+@pytest.mark.parametrize(
+    "mode, pair, witness",
+    [
+        ("contract", ((7, 3, 10, False), (7, 3, 20, False)), "(j=0,k=1): minors sum 7 != 0"),
+        ("delete", ((7, 3, 15, False), (7, 3, 25, False)), "(j=0,k=1): minors sum -7 != -9"),
+        ("delete", ((7, 3, 5, True), (7, 3, 6, True)), "(j=1,k=0): minors sum 7 != 0"),
+    ],
+)
+def test_minor_identity_failure_names_the_first_differing_entry(monkeypatch, mode, pair, witness):
+    # every minor taken at column 1 breaks the sums; the report names the
+    # first entry (j, k), in row-major order, where they differ
+    minor = getattr(gmatrix, mode)
+    monkeypatch.setattr(gmatrix, mode, lambda v, i: minor(v, 1))
+    v, w = (gen_random(n, r, seed, pointed=pointed) for n, r, seed, pointed in pair)
+    rep = check_contraction_deletion(v, w, mode)
+    assert (rep.holds, rep.witness) == (False, witness)
+
+
+@pytest.mark.parametrize(
+    "mode, witness",
+    [("contract", "(j=2,k=3): minors sum 12 != 6"), ("delete", "(j=3,k=2): minors sum 12 != 6")],
+)
+def test_minor_identity_checks_the_last_entry(monkeypatch, mode, witness):
+    # only the bottom-right entry of each minor's g-matrix is off by one
+    g_of_minor = gmatrix.g_of_pair
+
+    def bumped(v, w):
+        g = g_of_minor(v, w)
+        if (v.r, v.n) == (3, 6):
+            return g
+        rows = [list(row) for row in g.rows]
+        rows[-1][-1] += 1
+        return GMatrix(g.r, g.n, tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(gmatrix, "g_of_pair", bumped)
+    rep = check_contraction_deletion(gen_cocyclic(6, 3), gen_cyclic(6, 3), mode)
+    assert (rep.holds, rep.witness) == (False, witness)
 
 
 def test_rank_three_small_quadrant_observation():

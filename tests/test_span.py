@@ -6,9 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrlevels.config import gen_cocyclic, gen_cyclic, gen_random
 from arrlevels.errors import DimensionError, InconsistentInputError
+from arrlevels.exactnum import Mat, rank
 from arrlevels.faces import f_matrix, fstar_matrix
 from arrlevels.gmatrix import SmallGMatrix, full_from_small, g_of_pair, small_from_full
 from arrlevels.span import (
@@ -54,6 +57,26 @@ def test_greedy_basis_examples():
 def test_greedy_basis_rejects_ragged_input():
     with pytest.raises(DimensionError):
         greedy_basis([(1, 0), (1,)])
+
+
+_RATS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=150)
+@given(data=st.data(), width=st.integers(1, 5), size=st.integers(1, 8))
+def test_greedy_basis_is_the_rank_increasing_prefix(data, width, size):
+    # a family with dependent members: each new vector is either drawn
+    # freely or a random combination of the ones before it
+    vs: list[tuple[Fraction, ...]] = []
+    for _ in range(size):
+        if vs and data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(_RATS, min_size=len(vs), max_size=len(vs)))
+            vs.append(tuple(sum(c * v[k] for c, v in zip(coeffs, vs)) for k in range(width)))
+        else:
+            vs.append(tuple(data.draw(st.lists(_RATS, min_size=width, max_size=width))))
+    basis = greedy_basis(vs)
+    assert len(basis) == exact_rank(vs) == rank(Mat.from_rows(vs))
+    assert basis == [i for i in range(size) if rank(Mat.from_rows(vs[: i + 1])) > rank(Mat.from_rows(vs[:i]))]
 
 
 def test_exact_rank_small():
