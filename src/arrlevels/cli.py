@@ -2,7 +2,8 @@
 
 Every subcommand is a thin wrapper: parse flags, load JSON files,
 dispatch to a library call, serialize the result.  No computation
-lives in this module.
+lives in this module.  Each handler imports the library names it calls,
+so a process loads only the modules its subcommand runs.
 
 Exit codes: 0 on success, 1 when a requested verification reports a
 violation, 2 on usage or input errors.
@@ -13,44 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .config import (
-    VectorConfig,
-    config_from_json,
-    config_to_json,
-    gen_cocyclic,
-    gen_cyclic,
-    gen_random,
-)
 from .errors import ArrlevelsError, FileFormatError
-from .faces import (
-    dependency_patterns,
-    dissection_patterns,
-    f_matrix,
-    f_polynomial,
-    farkas_complement_oracle,
-    fstar_from_patterns,
-    fstar_matrix,
-    fstar_polynomial,
-    pattern_to_string,
-    patterns_to_json,
-)
-from .gmatrix import (
-    check_contraction_deletion,
-    g_closed_form_neighborly,
-    g_of_pair,
-    satisfies_skew,
-    small_from_full,
-)
-from .motion import detect_mutations, events_to_json, g_from_motion, perturb
-from .relations import (
-    check_antipodal,
-    check_dehn_sommerville,
-    check_totals,
-    f_fstar_transform,
-)
-from .span import g_span_rank, theoretical_dim
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .config import VectorConfig
 
 
 class _UsageError(Exception):
@@ -70,6 +41,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _load_config(path: str) -> VectorConfig:
+    from .config import config_from_json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -86,13 +59,17 @@ def _load_config(path: str) -> VectorConfig:
 
 
 def _parse_params(text: str) -> list[Fraction]:
+    from .exactnum import rat
+
     try:
-        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return [rat(tok.strip()) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad --params value: {exc}") from exc
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .config import config_to_json, gen_cocyclic, gen_cyclic, gen_random
+
     if args.kind == "random":
         if args.seed is None:
             raise _UsageError("--kind random requires --seed")
@@ -112,6 +89,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_faces(args: argparse.Namespace) -> int:
+    from .faces import dissection_patterns, f_matrix, patterns_to_json
+
     v = _load_config(args.config)
     fm = f_matrix(v)
     if args.format == "csv":
@@ -128,16 +107,22 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
 
 def _gale_histogram(v: VectorConfig):
+    from .faces import dependency_patterns, fstar_from_patterns
+
     return fstar_from_patterns(dependency_patterns(v), v.r, v.n)
 
 
 def _farkas_histogram(v: VectorConfig):
+    from .faces import farkas_complement_oracle, fstar_from_patterns
+
     return fstar_from_patterns(farkas_complement_oracle(v), v.r, v.n)
 
 
 def _cmd_fstar(args: argparse.Namespace) -> int:
     v = _load_config(args.config)
     if args.oracle != "both":
+        from .faces import fstar_matrix
+
         route = {None: fstar_matrix, "gale": _gale_histogram, "farkas": _farkas_histogram}
         _emit(_dump(route[args.oracle](v).to_json()), None)
         return 0
@@ -153,6 +138,9 @@ def _cmd_fstar(args: argparse.Namespace) -> int:
 
 
 def _cmd_g(args: argparse.Namespace) -> int:
+    from .gmatrix import g_of_pair, small_from_full
+    from .motion import g_from_motion
+
     v = _load_config(args.src)
     w = _load_config(args.dst)
     if args.via == "algebraic":
@@ -177,6 +165,8 @@ def _cmd_g(args: argparse.Namespace) -> int:
 
 
 def _cmd_motion(args: argparse.Namespace) -> int:
+    from .motion import detect_mutations, events_to_json, perturb
+
     v = _load_config(args.src)
     w = _load_config(args.dst)
     if args.perturb_seed is not None:
@@ -207,6 +197,16 @@ def _shape_args(args: argparse.Namespace) -> tuple[int, int]:
 
 
 def _duality_reports(v: VectorConfig) -> list[dict]:
+    from .faces import (
+        dependency_patterns,
+        f_matrix,
+        f_polynomial,
+        farkas_complement_oracle,
+        fstar_polynomial,
+        pattern_to_string,
+    )
+    from .relations import f_fstar_transform
+
     dep = frozenset(dependency_patterns(v))
     far = frozenset(farkas_complement_oracle(v))
     if dep == far:
@@ -240,6 +240,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rel = args.relation
     reports: list[dict] = []
     if rel in ("ds", "antipodal", "totals"):
+        from .relations import check_antipodal, check_dehn_sommerville, check_totals
+
         v = _one_config(args)
         check = {
             "ds": check_dehn_sommerville,
@@ -250,6 +252,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif rel == "duality":
         reports.extend(_duality_reports(_one_config(args)))
     elif rel == "skew":
+        from .gmatrix import g_of_pair, satisfies_skew
+
         v, w = _pair_configs(args)
         ok = satisfies_skew(g_of_pair(v, w))
         reports.append(
@@ -260,10 +264,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
         )
     elif rel in ("contraction", "deletion"):
+        from .gmatrix import check_contraction_deletion
+
         v, w = _pair_configs(args)
         mode = "contract" if rel == "contraction" else "delete"
         reports.append(check_contraction_deletion(v, w, mode).to_json())
     elif rel == "closed-form":
+        from .config import gen_cocyclic, gen_cyclic
+        from .gmatrix import g_closed_form_neighborly, g_of_pair, small_from_full
+
         n, r = _shape_args(args)
         got = small_from_full(g_of_pair(gen_cocyclic(n, r), gen_cyclic(n, r)))
         want = g_closed_form_neighborly(n, r)
@@ -276,6 +285,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
         )
     elif rel == "span-dim":
+        from .span import g_span_rank, theoretical_dim
+
         n, r = _shape_args(args)
         mode = "pointed" if args.pointed else "general"
         samples = args.samples
@@ -299,6 +310,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_span(args: argparse.Namespace) -> int:
+    from .span import g_span_rank
+
     mode = "pointed" if args.pointed else "general"
     report = g_span_rank(args.n, args.r, mode, args.samples, args.seed)
     _emit(_dump(report.to_json()), None)

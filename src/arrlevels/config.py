@@ -301,7 +301,7 @@ def config_from_json(obj: object) -> VectorConfig:
             if not isinstance(entry, str):
                 raise FileFormatError(f"column {ci} entry {fi + 1} must be a string")
             try:
-                parsed.append(Fraction(entry))
+                parsed.append(rat(entry))
             except (ValueError, ZeroDivisionError) as exc:
                 raise FileFormatError(f"column {ci} entry {fi + 1}: bad rational {entry!r}") from exc
         cols.append(parsed)

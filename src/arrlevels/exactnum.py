@@ -28,6 +28,7 @@ Floating point is forbidden in every code path here; all results are exact.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,9 +40,17 @@ Rat = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# The text forms of a rational: "p" or "p/q" in decimal digits, p optionally
+# signed.  Fraction alone also reads decimals and exponents, and parsing
+# "1e99999999" builds a hundred-million-digit integer.
+_RAT_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
 
 def rat(value: int | str | Fraction) -> Rat:
-    """Coerce an int, canonical "p" / "p/q" string, or Fraction to Rat."""
+    """Coerce an int, a "p" / "p/q" string, or a Fraction to Rat.
+
+    Any other string raises ValueError; q = 0 raises ZeroDivisionError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -49,6 +58,8 @@ def rat(value: int | str | Fraction) -> Rat:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _RAT_TEXT.fullmatch(value) is None:
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .config import VectorConfig, gen_cyclic, moment_point, new_config
 from .errors import (
@@ -43,7 +44,9 @@ from .exactnum import (
     rat,
     squarefree_part,
 )
-from .gmatrix import GMatrix
+
+if TYPE_CHECKING:
+    from .gmatrix import GMatrix
 
 
 @dataclass(frozen=True)
@@ -378,6 +381,8 @@ def g_from_motion(v: VectorConfig, w: VectorConfig) -> GMatrix:
     is a real check; genericity errors propagate to the caller, which may
     perturb the endpoint and retry.
     """
+    from .gmatrix import GMatrix  # only this route needs gmatrix's imports
+
     path = detect_mutations(v, w)
     r, n = v.r, v.n
     rows = [[0] * (n - r + 1) for _ in range(r + 1)]

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from arrlevels import cli, motion
+from arrlevels import cli, motion, relations
 from arrlevels.config import config_from_json
 from arrlevels.faces import f_matrix
+from arrlevels.gmatrix import GMatrix
 from arrlevels.relations import RelationReport
 
 
@@ -115,7 +122,7 @@ def test_verify_duality_passes(capsys, cyclic63):
 
 def test_verify_failure_sets_exit_one(capsys, monkeypatch, cyclic63):
     monkeypatch.setattr(
-        cli,
+        relations,
         "check_antipodal",
         lambda v: RelationReport("antipodal", False, "forced failure"),
     )
@@ -253,3 +260,135 @@ def test_output_is_byte_stable(capsys, cyclic63, pair53):
     g1 = run(capsys, ["g", "--from", src, "--to", dst])
     g2 = run(capsys, ["g", "--from", src, "--to", dst])
     assert g1 == g2
+
+
+# -- exit-code contract over every subcommand and every verify relation -----
+
+_README_CONFIGS = {
+    "c53.json": ["--kind", "cyclic", "--n", "5", "--r", "3"],
+    "co53.json": ["--kind", "cocyclic", "--n", "5", "--r", "3"],
+    "cy53.json": ["--kind", "cyclic", "--n", "5", "--r", "3", "--params", "1,2,4,8,16"],
+}
+_PAIR = ["--from", "co53.json", "--to", "cy53.json"]
+
+
+@pytest.fixture
+def readme_dir(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, argv in _README_CONFIGS.items():
+        assert cli.main(["gen", *argv, "-o", name]) == 0
+    capsys.readouterr()
+    return tmp_path
+
+
+def _failing(relation):
+    return lambda *args: RelationReport(relation, False, "forced failure")
+
+
+# name -> (argv, exit code with the library as it is, patches forcing exit 1
+# as (module, attribute, replacement), argv of a usage or input error)
+CONTRACT = {
+    "gen": (["gen", "--kind", "cocyclic", "--n", "5", "--r", "3"], None,
+            ["gen", "--kind", "cyclic", "--n", "5", "--r", "3", "--seed", "1"]),
+    "faces": (["faces", "c53.json", "--patterns"], None, ["faces", "missing.json"]),
+    "fstar": (["fstar", "c53.json"], None, ["fstar", "missing.json"]),
+    "fstar-both": (["fstar", "c53.json", "--oracle", "both"],
+                   ("faces", "farkas_complement_oracle", lambda v: []),
+                   ["fstar", "missing.json", "--oracle", "both"]),
+    "g": (["g", *_PAIR], None, ["g", "--from", "co53.json", "--to", "missing.json"]),
+    "g-both": (["g", *_PAIR, "--via", "both"],
+               ("motion", "g_from_motion", lambda v, w: SimpleNamespace(rows=())),
+               ["g", "--from", "co53.json", "--to", "c53.json", "--via", "motion"]),
+    "motion": (["motion", *_PAIR, "--trace"], None,
+               ["motion", "--from", "missing.json", "--to", "c53.json", "--trace"]),
+    "span": (["span", "--n", "6", "--r", "3", "--samples", "6", "--seed", "0"], None,
+             ["span", "--n", "3", "--r", "5", "--samples", "2", "--seed", "0"]),
+    "ds": (["verify", "--relation", "ds", "c53.json"],
+           ("relations", "check_dehn_sommerville", _failing("dehn-sommerville")),
+           ["verify", "--relation", "ds", "c53.json", "co53.json"]),
+    "antipodal": (["verify", "--relation", "antipodal", "c53.json"],
+                  ("relations", "check_antipodal", _failing("antipodal")),
+                  ["verify", "--relation", "antipodal", *_PAIR]),
+    "totals": (["verify", "--relation", "totals", "c53.json"],
+               ("relations", "check_totals", _failing("totals")),
+               ["verify", "--relation", "totals"]),
+    "duality": (["verify", "--relation", "duality", "c53.json"],
+                ("faces", "farkas_complement_oracle", lambda v: []),
+                ["verify", "--relation", "duality", "missing.json"]),
+    "skew": (["verify", "--relation", "skew", *_PAIR],
+             ("gmatrix", "g_of_pair", lambda v, w: GMatrix(3, 5, ((1, 0, 0),) + ((0, 0, 0),) * 3)),
+             ["verify", "--relation", "skew", "c53.json"]),
+    "contraction": (["verify", "--relation", "contraction", *_PAIR],
+                    ("gmatrix", "check_contraction_deletion", _failing("contraction")),
+                    ["verify", "--relation", "contraction", "--from", "co53.json"]),
+    "deletion": (["verify", "--relation", "deletion", *_PAIR],
+                 ("gmatrix", "check_contraction_deletion", _failing("deletion")),
+                 ["verify", "--relation", "deletion", "--to", "cy53.json"]),
+    "closed-form": (["verify", "--relation", "closed-form", "--n", "6", "--r", "3"],
+                    ("gmatrix", "g_closed_form_neighborly", lambda n, r: SimpleNamespace(rows=((0,),))),
+                    ["verify", "--relation", "closed-form", "--n", "6"]),
+    "span-dim": (["verify", "--relation", "span-dim", "--n", "6", "--r", "3"],
+                 ("span", "g_span_rank",
+                  lambda *a: SimpleNamespace(full_rank=False, achieved_rank=0, theoretical_dim=4)),
+                 ["verify", "--relation", "span-dim", "--r", "3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_exit_zero_on_every_branch(capsys, readme_dir, name):
+    code, out, err = run(capsys, CONTRACT[name][0])
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("name", sorted(k for k, v in CONTRACT.items() if v[1]))
+def test_exit_one_on_every_check(capsys, monkeypatch, readme_dir, name):
+    argv, (module, attr, replacement), _ = CONTRACT[name]
+    monkeypatch.setattr(importlib.import_module(f"arrlevels.{module}"), attr, replacement)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    obj = json.loads(out)
+    assert obj.get("all_hold", obj.get("agreement")) is False
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_exit_two_on_every_branch(capsys, readme_dir, name):
+    code, out, err = run(capsys, CONTRACT[name][2])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+# -- hostile rationals are rejected before any arithmetic ---------------------
+
+
+def _run_cli_process(cwd, *argv):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "arrlevels.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_exponent_entry_in_config_file_is_input_error(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"r": 2, "n": 3, "vectors": [["1", "0"], ["1e99999999", "1"], ["1", "2"]]}')
+    proc = _run_cli_process(tmp_path, "faces", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "column 2 entry 1: bad rational '1e99999999'" in proc.stderr
+
+
+def test_exponent_in_params_is_usage_error(tmp_path):
+    proc = _run_cli_process(
+        tmp_path, "gen", "--kind", "cyclic", "--n", "3", "--r", "2", "--params", "0,1,1e99999999"
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: bad --params value: ")
+    assert "'1e99999999'" in proc.stderr

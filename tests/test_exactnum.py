@@ -314,3 +314,22 @@ def test_isolation_finds_each_rational_root(roots, lead):
     assert all(b1 <= a2 for ((_, b1), _), ((a2, _), _) in zip(found, found[1:]))
     assert count_distinct_roots(p, Fraction(0), Fraction(1)) == len(inside)
     assert count_distinct_roots(p, Fraction(-41), Fraction(41)) == len(roots)
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("-3/6", Fraction(-1, 2)), ("+4/1", 4), ("0/5", 0)])
+def test_rat_reads_signed_integers_and_quotients(text, value):
+    assert rat(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e99999999", "0.5", "1.", "-.5", " 1", "1 ", "1_000", "1/2/3", "/2", "2/", "", "+", "١", "inf", "nan"],
+)
+def test_rat_rejects_other_text(text):
+    with pytest.raises(ValueError):
+        rat(text)
+
+
+def test_rat_zero_denominator_text():
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
