@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -36,16 +35,19 @@ from .errors import (
     FileFormatError,
     GeneralPositionError,
 )
-from .exactnum import Mat, Rat, det, integer_rescaling, kernel_basis, rat, rat_str, _int_det
+from .exactnum import Mat, Rat, _Record, det, integer_rescaling, kernel_basis, rat, rat_str, _int_det
 
 
-@dataclass(frozen=True)
-class VectorConfig:
-    """Immutable rank-r configuration of n column vectors in general position."""
+class VectorConfig(_Record):
+    """Immutable rank-r configuration of n column vectors in general position;
+    mat is r x n, its columns are the vectors."""
 
-    r: int
-    n: int
-    mat: Mat  # r x n, columns are the vectors
+    __slots__ = ("r", "n", "mat")
+
+    def __init__(self, r: int, n: int, mat: Mat) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mat", mat)
 
     @property
     def d(self) -> int:

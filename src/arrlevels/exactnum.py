@@ -4,6 +4,10 @@ Everything downstream computes with these building blocks:
 
 * ``Rat`` is an alias for :class:`fractions.Fraction` (canonical reduced
   form, exact arithmetic, positive denominator).
+* ``_Record`` is the base of the library's immutable records (``Mat``,
+  ``UniPoly``, ``VectorConfig`` and the count matrices and reports built
+  on them): plain classes whose fields are their ``__slots__``, equal and
+  hashed by their field tuple, refusing assignment.
 * ``Mat`` is a small immutable dense matrix over ``Rat`` with exact
   determinant, rank, and right-kernel computations.  Determinants go
   through fraction-free (Bareiss) elimination on an integer rescaling of
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -67,6 +70,47 @@ def rat(value: int | str | Fraction) -> Rat:
 def rat_str(value: Rat) -> str:
     """Serialize to the canonical decimal string "p" or "p/q" (q > 0)."""
     return str(value)
+
+
+# ---------------------------------------------------------------------------
+# Immutable records
+
+
+class _Record:
+    """Base of an immutable record whose fields are its __slots__.
+
+    A subclass stores each field once, in its __init__, with
+    object.__setattr__.  Records of one class are equal when their fields
+    are, hash by the field tuple, show their fields in repr, and refuse
+    assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild a record through its __init__
+        return self.__class__, self._fields()
 
 
 # ---------------------------------------------------------------------------
@@ -127,22 +171,22 @@ def cross_product(rows: Sequence[Sequence]) -> list:
     return [-minors[full ^ 1 << c] if c % 2 else minors[full ^ 1 << c] for c in range(k + 1)]
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(_Record):
     """Immutable dense rational matrix (row-major)."""
 
-    nrows: int
-    ncols: int
-    entries: tuple[tuple[Rat, ...], ...]
+    __slots__ = ("nrows", "ncols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.nrows < 0 or self.ncols < 0:
+    def __init__(self, nrows: int, ncols: int, entries: tuple[tuple[Rat, ...], ...]) -> None:
+        if nrows < 0 or ncols < 0:
             raise DimensionError("negative matrix dimensions")
-        if len(self.entries) != self.nrows:
+        if len(entries) != nrows:
             raise DimensionError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.ncols:
+        for row in entries:
+            if len(row) != ncols:
                 raise DimensionError("ragged matrix rows")
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]]) -> Mat:
@@ -267,8 +311,7 @@ def kernel_basis(m: Mat) -> Mat:
 # Univariate polynomials
 
 
-@dataclass(frozen=True)
-class UniPoly:
+class UniPoly(_Record):
     """Univariate polynomial with integer coefficients; coeffs[i] is the
     coefficient of t^i, and the last one is nonzero.
 
@@ -276,7 +319,10 @@ class UniPoly:
     positive lcm of their denominators, which keeps every root and sign.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def make(coeffs: Sequence[int | str | Fraction]) -> UniPoly:
@@ -464,8 +510,10 @@ def count_distinct_roots(p: UniPoly, lo: Rat, hi: Rat) -> int:
         raise BoundaryRootError(f"root at interval endpoint of ({lo}, {hi})")
     if p.degree <= 0:
         return 0
-    q = squarefree_part(p)
-    chain = _sturm_chain(q)
+    # Sturm's theorem holds for p itself: every element of its chain is a
+    # multiple of g = gcd(p, p'), divided by g the chain is a Sturm sequence
+    # of p/g, and g has no root where p has none, such as lo and hi.
+    chain = _sturm_chain(p)
     return _variations(chain, lo) - _variations(chain, hi)
 
 

@@ -32,11 +32,10 @@ with the certificate oracle, as independent cross-checks of the counts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExhaustedError, DimensionError, FileFormatError, InconsistentInputError
-from .exactnum import cross_product
+from .exactnum import _Record, cross_product
 from .config import VectorConfig, gale_dual, integer_columns
 
 SignVector = tuple[int, ...]
@@ -123,17 +122,17 @@ def farkas_complement_oracle(v: VectorConfig) -> tuple[SignVector, ...]:
 # Count matrices
 
 
-@dataclass(frozen=True)
-class FMatrix:
+class FMatrix(_Record):
     """Face counts: entry (s,t) counts faces with s zeros at level t."""
 
-    d: int
-    n: int
-    rows: tuple[tuple[int, ...], ...]  # (d+1) x (n+1)
+    __slots__ = ("d", "n", "rows")
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.d + 1 or any(len(r) != self.n + 1 for r in self.rows):
+    def __init__(self, d: int, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if len(rows) != d + 1 or any(len(r) != n + 1 for r in rows):
             raise DimensionError("f-matrix must be (d+1) x (n+1)")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     def entry(self, s: int, t: int) -> int:
         if 0 <= s <= self.d and 0 <= t <= self.n:
@@ -172,18 +171,18 @@ class FMatrix:
         return "\n".join(",".join(str(x) for x in row) for row in self.rows) + "\n"
 
 
-@dataclass(frozen=True)
-class FStarMatrix:
+class FStarMatrix(_Record):
     """Dependency counts: entry (s,t) counts dependencies of support size s
     with t negative coefficients; nonzero only for r+1 <= s <= n, 0 <= t <= s."""
 
-    r: int
-    n: int
-    rows: tuple[tuple[int, ...], ...]  # (n+1) x (n+1)
+    __slots__ = ("r", "n", "rows")
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.n + 1 or any(len(r) != self.n + 1 for r in self.rows):
+    def __init__(self, r: int, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
             raise DimensionError("f*-matrix must be (n+1) x (n+1)")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     def entry(self, s: int, t: int) -> int:
         if 0 <= s <= self.n and 0 <= t <= self.n:

@@ -20,27 +20,26 @@ g to the g's of contracted and deleted subpairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import VectorConfig, contract, delete
 from .errors import DimensionError, InconsistentInputError
+from .exactnum import _Record
 from .faces import FMatrix, f_matrix
 from .relations import RelationReport, binom
 
 IntGrid = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class GMatrix:
+class GMatrix(_Record):
     """Full (r+1) x (n-r+1) integer matrix; entry (j,k) = g_{j,k}."""
 
-    r: int
-    n: int
-    rows: IntGrid
+    __slots__ = ("r", "n", "rows")
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.r + 1 or any(len(row) != self.n - self.r + 1 for row in self.rows):
+    def __init__(self, r: int, n: int, rows: IntGrid) -> None:
+        if len(rows) != r + 1 or any(len(row) != n - r + 1 for row in rows):
             raise DimensionError("g-matrix must be (r+1) x (n-r+1)")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     def entry(self, j: int, k: int) -> int:
         return self.rows[j][k]
@@ -64,19 +63,19 @@ class GMatrix:
         return {"r": self.r, "n": self.n, "g": [list(row) for row in self.rows]}
 
 
-@dataclass(frozen=True)
-class SmallGMatrix:
+class SmallGMatrix(_Record):
     """Rows j = 0..floor((r-1)/2), cols k = 0..floor((n-r-1)/2)."""
 
-    r: int
-    n: int
-    rows: IntGrid
+    __slots__ = ("r", "n", "rows")
 
-    def __post_init__(self) -> None:
-        want_rows = (self.r - 1) // 2 + 1
-        want_cols = (self.n - self.r - 1) // 2 + 1
-        if len(self.rows) != want_rows or any(len(row) != want_cols for row in self.rows):
+    def __init__(self, r: int, n: int, rows: IntGrid) -> None:
+        want_rows = (r - 1) // 2 + 1
+        want_cols = (n - r - 1) // 2 + 1
+        if len(rows) != want_rows or any(len(row) != want_cols for row in rows):
             raise DimensionError("small g-matrix has wrong shape")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     def to_json(self) -> dict:
         return {"r": self.r, "n": self.n, "small_g": [list(row) for row in self.rows]}

@@ -14,7 +14,6 @@ of pointed configurations realizing every nontrivial type.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -31,6 +30,7 @@ from .exactnum import (
     Mat,
     Rat,
     UniPoly,
+    _Record,
     _row_echelon,
     _sturm_chain,
     _variations,
@@ -42,15 +42,13 @@ from .exactnum import (
     kernel_basis,
     poly_gcd,
     rat,
-    squarefree_part,
 )
 
 if TYPE_CHECKING:
     from .gmatrix import GMatrix
 
 
-@dataclass(frozen=True)
-class MutationEvent:
+class MutationEvent(_Record):
     """One detected degeneracy along a motion.
 
     subset holds the 1-based labels of the columns that become dependent,
@@ -60,17 +58,28 @@ class MutationEvent:
     and after the root.
     """
 
-    subset: tuple[int, ...]
-    interval: tuple[Rat, Rat]
-    type_jk: tuple[int, int]
-    sign_flip: tuple[int, int]
+    __slots__ = ("subset", "interval", "type_jk", "sign_flip")
+
+    def __init__(
+        self,
+        subset: tuple[int, ...],
+        interval: tuple[Rat, Rat],
+        type_jk: tuple[int, int],
+        sign_flip: tuple[int, int],
+    ) -> None:
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "type_jk", type_jk)
+        object.__setattr__(self, "sign_flip", sign_flip)
 
 
-@dataclass(frozen=True)
-class MotionPath:
-    start: VectorConfig
-    end: VectorConfig
-    events: tuple[MutationEvent, ...]
+class MotionPath(_Record):
+    __slots__ = ("start", "end", "events")
+
+    def __init__(self, start: VectorConfig, end: VectorConfig, events: tuple[MutationEvent, ...]) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "events", events)
 
 
 def _column_at(v: VectorConfig, w: VectorConfig, j: int, t: Rat) -> list[Rat]:
@@ -127,9 +136,10 @@ def _sign_at_root(
 
     Bisects the interval until q is root-free on it, so the sign at an
     endpoint equals the sign at the root.  Different signs at the two ends
-    prove a root of q inside; only equal signs need q's Sturm chain, which
-    is built once.  Nontermination would mean q vanishes at the root
-    itself, which the genericity checks exclude.
+    prove a root of q inside; only equal signs need q's Sturm chain, built
+    once on q itself (at endpoints where q is nonzero its variations count
+    distinct roots, as in count_distinct_roots).  Nontermination would mean
+    q vanishes at the root itself, which the genericity checks exclude.
     """
     a, b = interval
     chain = None
@@ -137,7 +147,7 @@ def _sign_at_root(
         sa = q.sign_at(a)
         if sa != 0 and sa == q.sign_at(b):
             if chain is None:
-                chain = _sturm_chain(squarefree_part(q))
+                chain = _sturm_chain(q)
             if _variations(chain, a) == _variations(chain, b):
                 return sa
         a, b = bisect_root_interval(det, (a, b))

@@ -10,26 +10,24 @@ fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionError
-from .exactnum import Rat, rat
+from .exactnum import Rat, _Record, rat
 
 Term = tuple[int, int]
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class BiPoly:
+class BiPoly(_Record):
     """Sparse bivariate polynomial; no zero coefficients are stored."""
 
-    terms: Mapping[Term, Rat] = field(default_factory=dict)
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        clean = {k: v for k, v in self.terms.items() if v != 0}
+    def __init__(self, terms: Mapping[Term, Rat] | None = None) -> None:
+        clean = {k: v for k, v in terms.items() if v != 0} if terms else {}
         object.__setattr__(self, "terms", clean)
 
     # -- constructors ------------------------------------------------------

@@ -22,24 +22,24 @@ matrices can be fed in deliberately as negative controls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly2
 from .config import VectorConfig
 from .errors import DimensionError, InconsistentInputError
+from .exactnum import _Record
 from .faces import FMatrix, f_matrix
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    relation: str
-    holds: bool
-    witness: str | None = None
+class RelationReport(_Record):
+    __slots__ = ("relation", "holds", "witness")
 
-    def __post_init__(self) -> None:
-        if self.holds and self.witness is not None:
+    def __init__(self, relation: str, holds: bool, witness: str | None = None) -> None:
+        if holds and witness is not None:
             raise InconsistentInputError("holding report cannot carry a witness")
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
 
     def to_json(self) -> dict:
         return {"relation": self.relation, "holds": self.holds, "witness": self.witness}

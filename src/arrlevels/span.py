@@ -10,33 +10,41 @@ count bounds them from above.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .config import VectorConfig, gen_cocyclic, gen_cyclic, gen_random, moment_point, new_config
 from .errors import DimensionError, GeneralPositionError, InconsistentInputError
-from .exactnum import Mat, Rat, _row_echelon, rat
+from .exactnum import Mat, Rat, _Record, _row_echelon, rat
 from .faces import f_matrix
 from .gmatrix import g_of_pair, small_from_full
 
 
-@dataclass(frozen=True)
-class SpanReport:
-    n: int
-    r: int
-    mode: str
-    samples_used: int
-    achieved_rank: int
-    theoretical_dim: int
-    basis_seeds: tuple[str, ...]
+class SpanReport(_Record):
+    __slots__ = ("n", "r", "mode", "samples_used", "achieved_rank", "theoretical_dim", "basis_seeds")
 
-    def __post_init__(self) -> None:
-        if self.achieved_rank > self.theoretical_dim:
+    def __init__(
+        self,
+        n: int,
+        r: int,
+        mode: str,
+        samples_used: int,
+        achieved_rank: int,
+        theoretical_dim: int,
+        basis_seeds: tuple[str, ...],
+    ) -> None:
+        if achieved_rank > theoretical_dim:
             raise InconsistentInputError(
-                f"rank {self.achieved_rank} exceeds the span dimension {self.theoretical_dim}"
-                f" for shape ({self.n},{self.r}), mode {self.mode!r}"
+                f"rank {achieved_rank} exceeds the span dimension {theoretical_dim}"
+                f" for shape ({n},{r}), mode {mode!r}"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "samples_used", samples_used)
+        object.__setattr__(self, "achieved_rank", achieved_rank)
+        object.__setattr__(self, "theoretical_dim", theoretical_dim)
+        object.__setattr__(self, "basis_seeds", basis_seeds)
 
     @property
     def full_rank(self) -> bool:

@@ -295,22 +295,25 @@ _ROOT = st.tuples(st.integers(-40, 40), st.integers(1, 30)).map(lambda pq: Fract
 @settings(max_examples=150)
 @given(
     roots=st.lists(_ROOT, min_size=1, max_size=6, unique=True),
+    mults=st.lists(st.integers(1, 3), min_size=6, max_size=6),
     lead=st.integers(-5, 5).filter(bool),
 )
-def test_isolation_finds_each_rational_root(roots, lead):
-    # lead times the product of (q t - p) over the distinct roots p/q
+def test_isolation_finds_each_rational_root(roots, mults, lead):
+    # lead times the product of (q t - p)^m over the distinct roots p/q,
+    # root i taken with multiplicity m = mults[i]
     p = UniPoly.make([lead])
-    for x in roots:
-        p = p.mul(UniPoly.make([-x.numerator, x.denominator]))
+    for x, m in zip(roots, mults):
+        for _ in range(m):
+            p = p.mul(UniPoly.make([-x.numerator, x.denominator]))
     if any(x in (0, 1) for x in roots):
         with pytest.raises(BoundaryRootError):
             isolate_roots(p, Fraction(0), Fraction(1))
         return
-    inside = sorted(x for x in roots if 0 < x < 1)
+    inside = sorted((x, m) for x, m in zip(roots, mults) if 0 < x < 1)
     found = isolate_roots(p, Fraction(0), Fraction(1))
     assert len(found) == len(inside)
-    for ((a, b), simple), x in zip(found, inside):
-        assert simple and 0 <= a < x < b <= 1
+    for ((a, b), simple), (x, m) in zip(found, inside):
+        assert simple == (m == 1) and 0 <= a < x < b <= 1
     assert all(b1 <= a2 for ((_, b1), _), ((a2, _), _) in zip(found, found[1:]))
     assert count_distinct_roots(p, Fraction(0), Fraction(1)) == len(inside)
     assert count_distinct_roots(p, Fraction(-41), Fraction(41)) == len(roots)

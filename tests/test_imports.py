@@ -138,15 +138,17 @@ LOADS = [
     (["span", "--n", "7", "--r", "3", "--samples", "10", "--seed", "0"], EVERYTHING - {"motion"}),
 ]
 
-# Runs one command in this interpreter and prints its exit code and the
-# arrlevels modules it loaded.
+# Runs one command in this interpreter and prints its exit code, the
+# arrlevels modules it loaded, and which of dataclasses and inspect it
+# loaded: start-up cost that the plain record classes do not need.
 _PROBE = """
 import contextlib, io, json, sys
 from arrlevels import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("arrlevels."))
-print(json.dumps([code, loaded]))
+heavy = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+print(json.dumps([code, loaded, heavy]))
 """
 
 
@@ -166,6 +168,8 @@ def cli_workdir(tmp_path_factory):
 
 @pytest.mark.parametrize("argv, modules", LOADS, ids=[" ".join(a[:3]) for a, _ in LOADS])
 def test_subcommand_loads_only_what_it_runs(cli_workdir, argv, modules):
-    code, loaded = _fresh_python(_PROBE, *argv, cwd=cli_workdir)
+    code, loaded, heavy = _fresh_python(_PROBE, *argv, cwd=cli_workdir)
     assert code == 0
     assert set(loaded) == {"arrlevels.cli"} | {f"arrlevels.{m}" for m in modules}
+    # the records are plain classes: no subcommand imports dataclasses or inspect
+    assert heavy == []
