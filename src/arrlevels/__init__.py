@@ -58,7 +58,6 @@ _EXPORTS = {
         "farkas_complement_oracle",
         "fstar_matrix",
         "fstar_polynomial",
-        "pattern_from_string",
         "pattern_to_string",
     ),
     "gmatrix": (
@@ -73,7 +72,6 @@ _EXPORTS = {
         "g_of_pair",
         "satisfies_skew",
         "small_from_full",
-        "small_g_is_nonnegative",
     ),
     "motion": (
         "MotionPath",

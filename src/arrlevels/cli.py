@@ -196,6 +196,12 @@ def _shape_args(args: argparse.Namespace) -> tuple[int, int]:
     return args.n, args.r
 
 
+def _report(relation: str, holds: bool, witness: str) -> dict:
+    from .relations import RelationReport
+
+    return RelationReport(relation, holds, None if holds else witness).to_json()
+
+
 def _duality_reports(v: VectorConfig) -> list[dict]:
     from .faces import (
         dependency_patterns,
@@ -209,31 +215,19 @@ def _duality_reports(v: VectorConfig) -> list[dict]:
 
     dep = frozenset(dependency_patterns(v))
     far = frozenset(farkas_complement_oracle(v))
-    if dep == far:
-        oracle = {"relation": "dependency-oracle-agreement", "holds": True, "witness": None}
-    else:
-        bad = sorted(pattern_to_string(p) for p in dep.symmetric_difference(far))[0]
-        oracle = {
-            "relation": "dependency-oracle-agreement",
-            "holds": False,
-            "witness": f"pattern {bad} found by one oracle only",
-        }
+    bad = min((pattern_to_string(p) for p in dep ^ far), default=None)
     p = f_polynomial(f_matrix(v))
     forward = f_fstar_transform(p, v.n, v.r, "f_to_fstar")
     back = f_fstar_transform(forward, v.n, v.r, "fstar_to_f")
-    match = {
-        "relation": "transform-matches-dual-count",
-        "holds": forward.terms == fstar_polynomial(_gale_histogram(v)).terms,
-        "witness": None,
-    }
-    if not match["holds"]:
-        match["witness"] = "transformed polynomial differs from enumerated one"
-    trip = {
-        "relation": "transform-round-trip",
-        "holds": back.terms == p.terms,
-        "witness": None if back.terms == p.terms else "f -> f* -> f is not the identity",
-    }
-    return [oracle, match, trip]
+    return [
+        _report("dependency-oracle-agreement", dep == far, f"pattern {bad} found by one oracle only"),
+        _report(
+            "transform-matches-dual-count",
+            forward.terms == fstar_polynomial(_gale_histogram(v)).terms,
+            "transformed polynomial differs from enumerated one",
+        ),
+        _report("transform-round-trip", back.terms == p.terms, "f -> f* -> f is not the identity"),
+    ]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -256,13 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
         v, w = _pair_configs(args)
         ok = satisfies_skew(g_of_pair(v, w))
-        reports.append(
-            {
-                "relation": "skew-symmetry",
-                "holds": ok,
-                "witness": None if ok else "negation symmetry violated",
-            }
-        )
+        reports.append(_report("skew-symmetry", ok, "negation symmetry violated"))
     elif rel in ("contraction", "deletion"):
         from .gmatrix import check_contraction_deletion
 
@@ -276,14 +264,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n, r = _shape_args(args)
         got = small_from_full(g_of_pair(gen_cocyclic(n, r), gen_cyclic(n, r)))
         want = g_closed_form_neighborly(n, r)
-        ok = got.rows == want.rows
-        reports.append(
-            {
-                "relation": "closed-form",
-                "holds": ok,
-                "witness": None if ok else f"small g {got.rows} differs from {want.rows}",
-            }
-        )
+        witness = f"small g {got.rows} differs from {want.rows}"
+        reports.append(_report("closed-form", got.rows == want.rows, witness))
     elif rel == "span-dim":
         from .span import g_span_rank, theoretical_dim
 
@@ -293,15 +275,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if samples is None:
             samples = theoretical_dim(n, r, mode) + 8
         rep = g_span_rank(n, r, mode, samples, args.seed)
-        reports.append(
-            {
-                "relation": "span-dim",
-                "holds": rep.full_rank,
-                "witness": None
-                if rep.full_rank
-                else f"rank {rep.achieved_rank} below dimension {rep.theoretical_dim}",
-            }
-        )
+        witness = f"rank {rep.achieved_rank} below dimension {rep.theoretical_dim}"
+        reports.append(_report("span-dim", rep.full_rank, witness))
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown relation {rel!r}")
     all_hold = all(rep["holds"] for rep in reports)

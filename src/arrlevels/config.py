@@ -44,11 +44,6 @@ class VectorConfig(_Record):
 
     __slots__ = ("r", "n", "mat")
 
-    def __init__(self, r: int, n: int, mat: Mat) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mat", mat)
-
     @property
     def d(self) -> int:
         return self.r - 1

@@ -21,10 +21,10 @@ Everything downstream computes with these building blocks:
   leading coefficient (not monic), Sturm chains are built from
   pseudo-remainders divided by their positive content, and the sign at a
   rational a/b is the sign of the integer sum c_i a^i b^(deg-i).  Real-root
-  isolation on an open interval returns disjoint rational intervals with
-  certified root-free endpoints; downstream code only ever needs sample
-  points strictly between roots, never the roots themselves, so bisection
-  refinement is the workhorse primitive.
+  isolation on an open interval bisects on the Sturm chain of p itself and
+  returns disjoint rational intervals with certified root-free endpoints;
+  downstream code only ever needs sample points strictly between roots,
+  never the roots themselves.
 
 Floating point is forbidden in every code path here; all results are exact.
 """
@@ -79,13 +79,23 @@ def rat_str(value: Rat) -> str:
 class _Record:
     """Base of an immutable record whose fields are its __slots__.
 
-    A subclass stores each field once, in its __init__, with
-    object.__setattr__.  Records of one class are equal when their fields
-    are, hash by the field tuple, show their fields in repr, and refuse
-    assignment and deletion.
+    The constructor takes the fields in __slots__ order, positionally or
+    by keyword; a subclass with checks or defaults runs them first and then
+    calls it.  Records of one class are equal when their fields are, hash
+    by the field tuple, show their fields in repr, and refuse assignment
+    and deletion.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+                raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(names)}")
+            args += tuple(kwargs[name] for name in names[len(args):])
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -184,9 +194,7 @@ class Mat(_Record):
         for row in entries:
             if len(row) != ncols:
                 raise DimensionError("ragged matrix rows")
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(nrows, ncols, entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]]) -> Mat:
@@ -465,20 +473,13 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a
 
 
-def _squarefree_split(p: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """(squarefree part of p, gcd(p, p')) for nonzero p."""
-    if p.is_zero():
-        raise DegeneratePolynomialError("squarefree part of the zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return _primitive(p), g
-    return _primitive(_exact_quotient(p, g)), g
-
-
 def squarefree_part(p: UniPoly) -> UniPoly:
     """p divided by gcd(p, p'): the same distinct roots, each simple.
     Primitive with a positive leading coefficient."""
-    return _squarefree_split(p)[0]
+    if p.is_zero():
+        raise DegeneratePolynomialError("squarefree part of the zero polynomial")
+    g = poly_gcd(p, p.derivative())
+    return _primitive(p if g.degree <= 0 else _exact_quotient(p, g))
 
 
 def _sturm_chain(p: UniPoly) -> list[UniPoly]:
@@ -517,29 +518,29 @@ def count_distinct_roots(p: UniPoly, lo: Rat, hi: Rat) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _isolate_squarefree(q: UniPoly, chain: list[UniPoly], lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
+def _isolate_on_chain(p: UniPoly, chain: list[UniPoly], lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
     total = _variations(chain, lo) - _variations(chain, hi)
     if total == 0:
         return []
     if total == 1:
         return [(lo, hi)]
     mid = (lo + hi) / 2
-    if q.sign_at(mid) == 0:
+    if p.sign_at(mid) == 0:
         # mid is itself a root; fence it off with a window free of the others
         w = (hi - lo) / 4
         while True:
             a, b = mid - w, mid + w
-            if a > lo and b < hi and q.sign_at(a) != 0 and q.sign_at(b) != 0:
+            if a > lo and b < hi and p.sign_at(a) != 0 and p.sign_at(b) != 0:
                 inner = _variations(chain, a) - _variations(chain, b)
                 if inner == 1:
                     break
             w /= 2
         return (
-            _isolate_squarefree(q, chain, lo, a)
+            _isolate_on_chain(p, chain, lo, a)
             + [(a, b)]
-            + _isolate_squarefree(q, chain, b, hi)
+            + _isolate_on_chain(p, chain, b, hi)
         )
-    return _isolate_squarefree(q, chain, lo, mid) + _isolate_squarefree(q, chain, mid, hi)
+    return _isolate_on_chain(p, chain, lo, mid) + _isolate_on_chain(p, chain, mid, hi)
 
 
 def isolate_roots(p: UniPoly, lo: Rat, hi: Rat) -> list[tuple[tuple[Rat, Rat], bool]]:
@@ -558,18 +559,20 @@ def isolate_roots(p: UniPoly, lo: Rat, hi: Rat) -> list[tuple[tuple[Rat, Rat], b
         raise BoundaryRootError(f"polynomial vanishes at interval endpoint ({lo} or {hi})")
     if p.degree <= 0:
         return []
-    q, mult = _squarefree_split(p)
-    intervals = _isolate_squarefree(q, _sturm_chain(q), lo, hi)
-    out: list[tuple[tuple[Rat, Rat], bool]] = []
-    for a, b in intervals:
-        simple = mult.degree <= 0 or count_distinct_roots(mult, a, b) == 0
-        out.append(((a, b), simple))
-    return out
+    chain = _sturm_chain(p)
+    intervals = _isolate_on_chain(p, chain, lo, hi)
+    # The chain ends in gcd(p, p') times a constant, and a root of p is
+    # multiple exactly when that gcd vanishes there too.
+    g = chain[-1]
+    if g.degree <= 0:
+        return [(iv, True) for iv in intervals]
+    g_chain = _sturm_chain(g)
+    return [((a, b), _variations(g_chain, a) == _variations(g_chain, b)) for a, b in intervals]
 
 
 def bisect_root_interval(q: UniPoly, interval: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
     """Halve an interval holding exactly one root of q, a simple one (as an
-    isolating interval of a squarefree q does).
+    isolating interval flagged simple by isolate_roots does).
 
     The sign of q changes across the root, so one midpoint sign test picks
     the half containing it.  When the midpoint happens to be the root, a
@@ -584,13 +587,3 @@ def bisect_root_interval(q: UniPoly, interval: tuple[Rat, Rat]) -> tuple[Rat, Ra
     if q.sign_at(a) * sm < 0:
         return (a, mid)
     return (mid, b)
-
-
-def refine_root_interval(q: UniPoly, interval: tuple[Rat, Rat], width: Rat) -> tuple[Rat, Rat]:
-    """Shrink an isolating interval of squarefree q until its width <= width."""
-    if width <= 0:
-        raise DimensionError("refine_root_interval requires a positive width")
-    a, b = interval
-    while b - a > width:
-        a, b = bisect_root_interval(q, (a, b))
-    return (a, b)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import BudgetExhaustedError, DimensionError, FileFormatError, InconsistentInputError
+from .errors import BudgetExhaustedError, DimensionError, InconsistentInputError
 from .exactnum import _Record, cross_product
 from .config import VectorConfig, gale_dual, integer_columns
 
@@ -46,14 +46,6 @@ _CACHE_SIZE = 64
 
 def pattern_to_string(p: SignVector) -> str:
     return "".join("+" if s > 0 else "-" if s < 0 else "0" for s in p)
-
-
-def pattern_from_string(text: str) -> SignVector:
-    table = {"+": 1, "-": -1, "0": 0}
-    try:
-        return tuple(table[c] for c in text)
-    except KeyError as exc:
-        raise FileFormatError(f"bad sign character in pattern {text!r}") from exc
 
 
 def _sign(x: int) -> int:
@@ -130,9 +122,7 @@ class FMatrix(_Record):
     def __init__(self, d: int, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
         if len(rows) != d + 1 or any(len(r) != n + 1 for r in rows):
             raise DimensionError("f-matrix must be (d+1) x (n+1)")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(d, n, rows)
 
     def entry(self, s: int, t: int) -> int:
         if 0 <= s <= self.d and 0 <= t <= self.n:
@@ -148,25 +138,6 @@ class FMatrix(_Record):
     def to_json(self) -> dict:
         return {"d": self.d, "n": self.n, "rows": [list(r) for r in self.rows]}
 
-    @staticmethod
-    def from_json(obj: object) -> "FMatrix":
-        if not isinstance(obj, dict) or not all(k in obj for k in ("d", "n", "rows")):
-            raise FileFormatError("f-matrix JSON needs fields 'd', 'n', 'rows'")
-        d, n, rows = obj["d"], obj["n"], obj["rows"]
-        # JSON true/false load as bool, a subclass of int, so compare types
-        if type(d) is not int or type(n) is not int or not isinstance(rows, list):
-            raise FileFormatError("f-matrix fields have wrong types")
-        if not 0 <= d < n:
-            raise FileFormatError(f"f-matrix needs 0 <= d < n, got d={d}, n={n}")
-        if len(rows) != d + 1:
-            raise FileFormatError(f"f-matrix needs {d + 1} rows, got {len(rows)}")
-        clean = []
-        for si, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n + 1 or not all(type(x) is int for x in row):
-                raise FileFormatError(f"f-matrix row {si} must be a list of {n + 1} integers")
-            clean.append(tuple(row))
-        return FMatrix(d, n, tuple(clean))
-
     def to_csv(self) -> str:
         return "\n".join(",".join(str(x) for x in row) for row in self.rows) + "\n"
 
@@ -180,9 +151,7 @@ class FStarMatrix(_Record):
     def __init__(self, r: int, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
         if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
             raise DimensionError("f*-matrix must be (n+1) x (n+1)")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(r, n, rows)
 
     def entry(self, s: int, t: int) -> int:
         if 0 <= s <= self.n and 0 <= t <= self.n:
@@ -243,7 +212,7 @@ def f_polynomial(fm: FMatrix):
     """f(x,y) = sum f_{s,t} x^s y^t as a BiPoly."""
     from . import poly2
 
-    return poly2.from_matrix(fm.rows, "x", "y")
+    return poly2.from_matrix(fm.rows)
 
 
 def fstar_polynomial(fsm: FStarMatrix):

@@ -37,9 +37,7 @@ class GMatrix(_Record):
     def __init__(self, r: int, n: int, rows: IntGrid) -> None:
         if len(rows) != r + 1 or any(len(row) != n - r + 1 for row in rows):
             raise DimensionError("g-matrix must be (r+1) x (n-r+1)")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(r, n, rows)
 
     def entry(self, j: int, k: int) -> int:
         return self.rows[j][k]
@@ -73,9 +71,7 @@ class SmallGMatrix(_Record):
         want_cols = (n - r - 1) // 2 + 1
         if len(rows) != want_rows or any(len(row) != want_cols for row in rows):
             raise DimensionError("small g-matrix has wrong shape")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(r, n, rows)
 
     def to_json(self) -> dict:
         return {"r": self.r, "n": self.n, "small_g": [list(row) for row in self.rows]}
@@ -114,12 +110,6 @@ def full_from_small(sm: SmallGMatrix) -> GMatrix:
             row.append(sign * sm.rows[jj][kk])
         rows.append(tuple(row))
     return GMatrix(sm.r, sm.n, tuple(rows))
-
-
-def small_g_is_nonnegative(g: GMatrix | SmallGMatrix) -> bool:
-    """Observational: whether the small quadrant is entrywise >= 0."""
-    sm = small_from_full(g) if isinstance(g, GMatrix) else g
-    return all(x >= 0 for row in sm.rows for x in row)
 
 
 # ---------------------------------------------------------------------------

@@ -60,26 +60,9 @@ class MutationEvent(_Record):
 
     __slots__ = ("subset", "interval", "type_jk", "sign_flip")
 
-    def __init__(
-        self,
-        subset: tuple[int, ...],
-        interval: tuple[Rat, Rat],
-        type_jk: tuple[int, int],
-        sign_flip: tuple[int, int],
-    ) -> None:
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "type_jk", type_jk)
-        object.__setattr__(self, "sign_flip", sign_flip)
-
 
 class MotionPath(_Record):
     __slots__ = ("start", "end", "events")
-
-    def __init__(self, start: VectorConfig, end: VectorConfig, events: tuple[MutationEvent, ...]) -> None:
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "events", events)
 
 
 def _column_at(v: VectorConfig, w: VectorConfig, j: int, t: Rat) -> list[Rat]:

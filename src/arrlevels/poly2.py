@@ -1,7 +1,7 @@
 """Bivariate polynomials with exact rational coefficients.
 
 A BiPoly is a sparse term map (deg_x, deg_y) -> coefficient.  The rest
-of the library passes f- and f*-polynomials around as BiPolys and works on
+of the library reads count matrices into BiPolys (from_matrix) and works on
 their coefficients directly; the ring operations and full substitution
 p(sx, sy) expand identities polynomially, which the tests use as a second
 route.  Total degrees stay small (around n <= 12), so naive expansion is
@@ -98,12 +98,6 @@ class BiPoly(_Record):
     def coeff(self, deg_x: int, deg_y: int) -> Rat:
         return self.terms.get((deg_x, deg_y), _ZERO)
 
-    def eval(self, x: Rat, y: Rat) -> Rat:
-        total = _ZERO
-        for (dx, dy), c in self.terms.items():
-            total += c * x**dx * y**dy
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -134,47 +128,6 @@ def substitute(p: BiPoly, sx: BiPoly, sy: BiPoly) -> BiPoly:
     return total
 
 
-def from_matrix(m: Sequence[Sequence[int | Fraction]], row_var: str, col_var: str) -> BiPoly:
-    """Polynomial with coefficient m[s][t] on row_var^s * col_var^t."""
-    if row_var not in ("x", "y") or col_var not in ("x", "y"):
-        raise DimensionError("row_var and col_var must be 'x' or 'y'")
-    if row_var == col_var:
-        raise DimensionError("row_var and col_var must differ")
-    out: dict[Term, Rat] = {}
-    for s, row in enumerate(m):
-        for t, v in enumerate(row):
-            v = rat(v)
-            if v == 0:
-                continue
-            key = (s, t) if row_var == "x" else (t, s)
-            out[key] = out.get(key, _ZERO) + v
-    return BiPoly(out)
-
-
-def format_poly(p: BiPoly) -> str:
-    """Text form with terms sorted by (deg_x, deg_y) descending."""
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for (dx, dy), c in sorted(p.terms.items(), reverse=True):
-        mono: list[str] = []
-        if dx == 1:
-            mono.append("x")
-        elif dx > 1:
-            mono.append(f"x^{dx}")
-        if dy == 1:
-            mono.append("y")
-        elif dy > 1:
-            mono.append(f"y^{dy}")
-        mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(mono)
-        else:
-            body = "*".join([str(mag)] + mono)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+def from_matrix(m: Sequence[Sequence[int | Fraction]]) -> BiPoly:
+    """Polynomial with coefficient m[s][t] on x^s * y^t."""
+    return BiPoly({(s, t): rat(v) for s, row in enumerate(m) for t, v in enumerate(row)})

@@ -37,9 +37,7 @@ class RelationReport(_Record):
     def __init__(self, relation: str, holds: bool, witness: str | None = None) -> None:
         if holds and witness is not None:
             raise InconsistentInputError("holding report cannot carry a witness")
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "witness", witness)
+        super().__init__(relation, holds, witness)
 
     def to_json(self) -> dict:
         return {"relation": self.relation, "holds": self.holds, "witness": self.witness}

@@ -38,13 +38,7 @@ class SpanReport(_Record):
                 f"rank {achieved_rank} exceeds the span dimension {theoretical_dim}"
                 f" for shape ({n},{r}), mode {mode!r}"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "samples_used", samples_used)
-        object.__setattr__(self, "achieved_rank", achieved_rank)
-        object.__setattr__(self, "theoretical_dim", theoretical_dim)
-        object.__setattr__(self, "basis_seeds", basis_seeds)
+        super().__init__(n, r, mode, samples_used, achieved_rank, theoretical_dim, basis_seeds)
 
     @property
     def full_rank(self) -> bool:

@@ -17,6 +17,7 @@ from arrlevels import cli, motion, relations
 from arrlevels.config import config_from_json
 from arrlevels.faces import f_matrix
 from arrlevels.gmatrix import GMatrix
+from arrlevels.poly2 import BiPoly
 from arrlevels.relations import RelationReport
 
 
@@ -392,3 +393,70 @@ def test_exponent_in_params_is_usage_error(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: bad --params value: ")
     assert "'1e99999999'" in proc.stderr
+
+
+# -- the reports of a failing verify, byte for byte ----------------------------
+
+
+_TRANSFORM = relations.f_fstar_transform
+
+
+def _transform_without_inverse(p, n, r, direction):
+    return _TRANSFORM(p, n, r, "f_to_fstar")
+
+
+def _report(relation, witness):
+    return {"relation": relation, "holds": witness is None, "witness": witness}
+
+
+def _duality(oracle, match, trip):
+    return [
+        _report("dependency-oracle-agreement", oracle),
+        _report("transform-matches-dual-count", match),
+        _report("transform-round-trip", trip),
+    ]
+
+
+# name -> (argv, patch as (module, attribute, replacement), the reports printed)
+FAILING_REPORTS = {
+    "skew": (
+        ["verify", "--relation", "skew", *_PAIR],
+        ("gmatrix", "g_of_pair", lambda v, w: GMatrix(3, 5, ((1, 0, 0),) + ((0, 0, 0),) * 3)),
+        [_report("skew-symmetry", "negation symmetry violated")],
+    ),
+    "closed-form": (
+        ["verify", "--relation", "closed-form", "--n", "6", "--r", "3"],
+        ("gmatrix", "g_closed_form_neighborly", lambda n, r: SimpleNamespace(rows=((0,),))),
+        [_report("closed-form", "small g ((1, 3), (3, 3)) differs from ((0,),)")],
+    ),
+    "span-dim": (
+        ["verify", "--relation", "span-dim", "--n", "6", "--r", "3"],
+        ("span", "g_span_rank",
+         lambda *a: SimpleNamespace(full_rank=False, achieved_rank=3, theoretical_dim=4)),
+        [_report("span-dim", "rank 3 below dimension 4")],
+    ),
+    "duality-oracle": (
+        ["verify", "--relation", "duality", "c53.json"],
+        ("faces", "farkas_complement_oracle", lambda v: []),
+        _duality("pattern ++-+- found by one oracle only", None, None),
+    ),
+    "duality-match": (
+        ["verify", "--relation", "duality", "c53.json"],
+        ("faces", "fstar_polynomial", lambda fsm: BiPoly()),
+        _duality(None, "transformed polynomial differs from enumerated one", None),
+    ),
+    "duality-round-trip": (
+        ["verify", "--relation", "duality", "c53.json"],
+        ("relations", "f_fstar_transform", _transform_without_inverse),
+        _duality(None, None, "f -> f* -> f is not the identity"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_REPORTS))
+def test_failing_verify_prints_pinned_reports(capsys, monkeypatch, readme_dir, name):
+    argv, (module, attr, replacement), reports = FAILING_REPORTS[name]
+    monkeypatch.setattr(importlib.import_module(f"arrlevels.{module}"), attr, replacement)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (1, "")
+    assert out == json.dumps({"reports": reports, "all_hold": False}, indent=2) + "\n"

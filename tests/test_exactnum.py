@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrlevels import exactnum
 from arrlevels.errors import BoundaryRootError, DegeneratePolynomialError, DimensionError
 from arrlevels.exactnum import (
     Mat,
@@ -23,7 +24,6 @@ from arrlevels.exactnum import (
     rank,
     rat,
     rat_str,
-    refine_root_interval,
     squarefree_part,
 )
 
@@ -213,14 +213,6 @@ def test_count_distinct_roots_matches_isolation():
     assert count_distinct_roots(p, Fraction(0), Fraction(1)) == 1
 
 
-def test_refinement_narrows_and_keeps_root():
-    p = UniPoly.make([1, -2])
-    ((a, b), _), = isolate_roots(p, Fraction(0), Fraction(1))
-    a2, b2 = refine_root_interval(p, (a, b), Fraction(1, 1000))
-    assert b2 - a2 <= Fraction(1, 1000)
-    assert p(a2) * p(b2) < 0
-
-
 def test_bisect_keeps_sign_change():
     p = UniPoly.make([1, -2])
     interval = (Fraction(0), Fraction(1))
@@ -237,13 +229,6 @@ def test_count_distinct_roots_rejects_reversed_interval():
         count_distinct_roots(p, Fraction(1), Fraction(0))
     with pytest.raises(DimensionError):
         count_distinct_roots(p, Fraction(1, 3), Fraction(1, 3))
-
-
-@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 8)])
-def test_refinement_rejects_nonpositive_width(width):
-    p = UniPoly.make([1, -2])
-    with pytest.raises(DimensionError):
-        refine_root_interval(p, (Fraction(0), Fraction(1)), width)
 
 
 def test_sturm_count_across_a_degree_gap():
@@ -317,6 +302,28 @@ def test_isolation_finds_each_rational_root(roots, mults, lead):
     assert all(b1 <= a2 for ((_, b1), _), ((a2, _), _) in zip(found, found[1:]))
     assert count_distinct_roots(p, Fraction(0), Fraction(1)) == len(inside)
     assert count_distinct_roots(p, Fraction(-41), Fraction(41)) == len(roots)
+    # the same intervals and flags as isolating the squarefree part, with a
+    # root simple where gcd(p, p') has no root
+    g = poly_gcd(p, p.derivative())
+    want = [
+        ((a, b), g.degree <= 0 or count_distinct_roots(g, a, b) == 0)
+        for (a, b), _ in isolate_roots(squarefree_part(p), Fraction(0), Fraction(1))
+    ]
+    assert found == want
+
+
+def test_isolation_builds_one_chain_for_p_and_one_for_its_gcd(monkeypatch):
+    # the product of (7t - k)^2 over k = 1..6: six double roots in (0, 1)
+    p = UniPoly.make([1])
+    for k in range(1, 7):
+        p = p.mul(UniPoly.make([-k, 7])).mul(UniPoly.make([-k, 7]))
+    built = []
+    sturm_chain = exactnum._sturm_chain
+    monkeypatch.setattr(exactnum, "_sturm_chain", lambda q: built.append(q) or sturm_chain(q))
+    found = isolate_roots(p, Fraction(0), Fraction(1))
+    assert [simple for _, simple in found] == [False] * 6
+    assert all(a < Fraction(k, 7) < b for ((a, b), _), k in zip(found, range(1, 7)))
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("text, value", [("7", 7), ("-3/6", Fraction(-1, 2)), ("+4/1", 4), ("0/5", 0)])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from arrlevels import faces
 from arrlevels.config import gale_dual, gen_cocyclic, gen_cyclic, gen_random, new_config
-from arrlevels.errors import BudgetExhaustedError, FileFormatError, InconsistentInputError
+from arrlevels.errors import BudgetExhaustedError, InconsistentInputError
 from arrlevels.faces import (
     FMatrix,
     dependency_patterns,
@@ -23,7 +23,6 @@ from arrlevels.faces import (
     fstar_from_patterns,
     fstar_matrix,
     fstar_polynomial,
-    pattern_from_string,
     pattern_to_string,
     patterns_to_json,
 )
@@ -34,7 +33,6 @@ TRIANGLE = new_config(2, 3, [(1, 0), (0, 1), (1, 1)])
 
 def test_pattern_string_round_trip():
     assert pattern_to_string((1, -1, 0, 1)) == "+-0+"
-    assert pattern_from_string("+-0+") == (1, -1, 0, 1)
 
 
 def test_triangle_pattern_count():
@@ -221,38 +219,8 @@ def test_fstar_polynomial_convention():
 
 def test_fmatrix_json_and_csv():
     fm = f_matrix(TRIANGLE)
-    again = FMatrix.from_json(fm.to_json())
-    assert again.rows == fm.rows
+    assert fm.to_json() == {"d": 1, "n": 3, "rows": [[1, 2, 2, 1], [2, 2, 2, 0]]}
     assert fm.to_csv() == "1,2,2,1\n2,2,2,0\n"
-    with pytest.raises(FileFormatError):
-        FMatrix.from_json({"d": 1, "n": 3})
-
-
-def test_fmatrix_json_rejects_booleans():
-    good = {"d": 1, "n": 3, "rows": [[1, 2, 2, 1], [2, 2, 2, 0]]}
-    assert FMatrix.from_json(good).rows == f_matrix(TRIANGLE).rows
-    for bad in (
-        dict(good, d=True),
-        dict(good, n=True),
-        dict(good, rows=[[True, 2, 2, 1], [2, 2, 2, False]]),
-    ):
-        with pytest.raises(FileFormatError):
-            FMatrix.from_json(bad)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"d": -1, "n": 3, "rows": []},
-        {"d": 5, "n": 2, "rows": [[0, 0, 0]] * 6},
-        {"d": 1, "n": 3, "rows": [[1, 2, 2, 1]]},
-        {"d": 1, "n": 3, "rows": [[1, 2, 2, 1], [2, 2, 2]]},
-    ],
-    ids=["negative-d", "d-not-below-n", "row-count", "row-length"],
-)
-def test_fmatrix_json_rejects_impossible_shapes(bad):
-    with pytest.raises(FileFormatError):
-        FMatrix.from_json(bad)
 
 
 def test_patterns_to_json_strings():

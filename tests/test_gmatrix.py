@@ -21,7 +21,6 @@ from arrlevels.gmatrix import (
     g_of_pair,
     satisfies_skew,
     small_from_full,
-    small_g_is_nonnegative,
 )
 from arrlevels.poly2 import BiPoly
 from arrlevels.relations import binom
@@ -327,10 +326,3 @@ def test_minor_identity_checks_the_last_entry(monkeypatch, mode, witness):
     monkeypatch.setattr(gmatrix, "g_of_pair", bumped)
     rep = check_contraction_deletion(gen_cocyclic(6, 3), gen_cyclic(6, 3), mode)
     assert (rep.holds, rep.witness) == (False, witness)
-
-
-def test_rank_three_small_quadrant_observation():
-    for seed in range(3):
-        v = gen_random(6, 3, seed=100 + seed)
-        g = g_of_pair(gen_cocyclic(6, 3), v)
-        assert isinstance(small_g_is_nonnegative(g), bool)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from arrlevels.poly2 import BiPoly, format_poly, from_matrix, substitute
+from arrlevels.poly2 import BiPoly, from_matrix, substitute
 
 
 X = BiPoly.var_x()
@@ -69,7 +68,7 @@ def test_ds_substitution_is_involution():
 
 def test_from_matrix_triangle_example():
     rows = [[1, 2, 2, 1], [2, 2, 2, 0]]
-    p = from_matrix(rows, "x", "y")
+    p = from_matrix(rows)
     want = (
         ONE
         .add(Y.scale(2))
@@ -81,13 +80,8 @@ def test_from_matrix_triangle_example():
 
 
 def test_from_matrix_zero_and_single():
-    assert from_matrix([[0, 0], [0, 0]], "x", "y").is_zero()
-    assert from_matrix([[1]], "x", "y") == ONE
-
-
-def test_from_matrix_swapped_variables():
-    p = from_matrix([[0, 1], [2, 0]], "y", "x")
-    assert p == X.add(Y.scale(2))
+    assert from_matrix([[0, 0], [0, 0]]).is_zero()
+    assert from_matrix([[1]]) == ONE
 
 
 def test_no_zero_coefficients_stored():
@@ -96,12 +90,3 @@ def test_no_zero_coefficients_stored():
     q = X.add(Y).mul(X.sub(Y))  # x^2 - y^2, no xy term
     assert (1, 1) not in q.terms
 
-
-def test_eval_matches_terms():
-    p = X.pow(2).add(Y.scale(3)).add(ONE)
-    assert p.eval(Fraction(2), Fraction(-1)) == 4 - 3 + 1
-
-
-def test_format_sorted_descending():
-    p = X.pow(2).scale(30).add(X.scale(60)).add(BiPoly.const(32))
-    assert format_poly(p) == "30*x^2 + 60*x + 32"

@@ -16,7 +16,7 @@ import pytest
 from arrlevels import faces
 from arrlevels.config import VectorConfig, gen_cocyclic, gen_cyclic, new_config
 from arrlevels.errors import DimensionError, InconsistentInputError
-from arrlevels.exactnum import Mat, UniPoly
+from arrlevels.exactnum import Mat, UniPoly, _Record
 from arrlevels.faces import FMatrix, FStarMatrix
 from arrlevels.gmatrix import GMatrix, SmallGMatrix
 from arrlevels.motion import MotionPath, MutationEvent
@@ -103,6 +103,45 @@ def test_records_with_equal_fields_but_different_classes_differ():
 def test_constructor_checks_raise_typed_errors(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_positional_and_keyword_construction_agree(cls):
+    names, make = RECORDS[cls]
+    a = make()
+    fields = [getattr(a, name) for name in names]
+    assert cls(*fields) == a
+    assert cls(**dict(reversed(list(zip(names, fields))))) == a  # keywords in any order
+    assert cls(*fields[:1], **dict(zip(names[1:], fields[1:]))) == a
+    # an unknown field, by keyword or by position, is a TypeError
+    with pytest.raises(TypeError):
+        cls(*fields, extra=None)
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    # so is a missing one; BiPoly alone defaults its only field
+    if cls is not BiPoly:
+        with pytest.raises(TypeError):
+            cls(**dict(zip(names[1:], fields[1:])))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Mat(2, 1, ((Fraction(1),),)), DimensionError),
+        (lambda: FMatrix(1, 2, ((1, 2, 3),)), DimensionError),
+        (lambda: FStarMatrix(2, 2, ((0, 0), (0, 0))), DimensionError),
+        (lambda: GMatrix(2, 4, ((0, 0, 0), (0, 0, 0))), DimensionError),
+        (lambda: SmallGMatrix(3, 6, ((0, 0),)), DimensionError),
+        (lambda: RelationReport("ds", True, "row 1"), InconsistentInputError),
+        (lambda: SpanReport(7, 3, "general", 10, 5, 4, ()), InconsistentInputError),
+    ],
+)
+def test_checks_raise_before_any_field_is_stored(monkeypatch, build, error):
+    stored = []
+    monkeypatch.setattr(_Record, "__init__", lambda self, *args, **kwargs: stored.append(args))
+    with pytest.raises(error):
+        build()
+    assert stored == []
 
 
 def test_defaults_and_keyword_construction():
