@@ -35,12 +35,28 @@ from .errors import (
     FileFormatError,
     GeneralPositionError,
 )
-from .exactnum import Mat, Rat, _Record, det, integer_rescaling, kernel_basis, rat, rat_str, _int_det
+from .exactnum import Mat, Rat, _Record, det, integer_rescaling, kernel_basis, rat, rat_str
 
 
-class VectorConfig(_Record):
+class _HashedOnce(_Record):
+    """A record that stores its hash on first use, in a slot that is not
+    one of its fields, so pickle and copy rebuild it without the hash."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._fields())
+            object.__setattr__(self, "_hash", h)
+            return h
+
+
+class VectorConfig(_HashedOnce):
     """Immutable rank-r configuration of n column vectors in general position;
-    mat is r x n, its columns are the vectors."""
+    mat is r x n, its columns are the vectors.  It keys the face caches,
+    so it hashes its Fraction entries once."""
 
     __slots__ = ("r", "n", "mat")
 
@@ -67,11 +83,57 @@ def integer_columns(v: VectorConfig) -> list[tuple[int, ...]]:
     return [tuple(integer_rescaling(v.mat.col(j))[1]) for j in range(v.n)]
 
 
+def _first_dependent(rows: list[list[int]], cols: list[int], pivot: int) -> list[int] | None:
+    """The first dependent subset, in combinations order, of len(rows)
+    columns from cols, or None.
+
+    rows is the fraction-free (Bareiss) Schur complement left by the
+    columns already taken, with pivot the last pivot; its entries are
+    minors of the input, so each is zero exactly when that minor is.
+    Column c joins the subset independently iff it has a nonzero entry, and
+    eliminating it leaves the complement of every subset extending it.
+    """
+    need = len(rows)
+    for at in range(len(cols) - need + 1):
+        for top in rows:
+            if top[at]:
+                break
+        else:
+            # every subset extending this prefix is dependent; the next columns give the first
+            return cols[at : at + need]
+        if need == 1:
+            continue
+        lead = top[at]
+        if need == 2:
+            # the last remaining row, read for its zeros before any division
+            row = rows[1] if top is rows[0] else rows[0]
+            a = row[at]
+            for m in range(at + 1, len(cols)):
+                if lead * row[m] == a * top[m]:
+                    return [cols[at], cols[m]]
+            continue
+        rest = [
+            [(lead * x - row[at] * y) // pivot for x, y in zip(row[at + 1 :], top[at + 1 :])]
+            for row in rows
+            if row is not top
+        ]
+        found = _first_dependent(rest, cols[at + 1 :], lead)
+        if found is not None:
+            return [cols[at], *found]
+    return None
+
+
 def _check_general_position(r: int, n: int, icols: list[tuple[int, ...]]) -> None:
-    for subset in itertools.combinations(range(n), r):
-        rows = [[icols[j][i] for j in subset] for i in range(r)]
-        if _int_det(rows) == 0:
-            raise GeneralPositionError(tuple(i + 1 for i in subset))
+    """Raise with the first dependent r-subset in combinations order.
+
+    The sorted column prefixes are walked depth-first, so subsets sharing
+    a prefix share its elimination, where one determinant per subset would
+    repeat it.
+    """
+    rows = [[col[i] for col in icols] for i in range(r)]
+    found = _first_dependent(rows, list(range(n)), 1)
+    if found is not None:
+        raise GeneralPositionError(tuple(j + 1 for j in found))
 
 
 def new_config(r: int, n: int, entries: Sequence[Sequence[int | str | Fraction]]) -> VectorConfig:

@@ -27,6 +27,11 @@ of relations.f_fstar_transform, since by Gale duality the face counts fix
 the dependency counts.  Dependency patterns are still enumerated on the
 Gale dual for callers that want the patterns themselves, and, together
 with the certificate oracle, as independent cross-checks of the counts.
+
+The f-matrices of the minors V/i and V\\i need no enumeration of their
+own: their faces are V's faces with X_i = 0, and V's faces with X_i
+dropped.  minor_f_matrices counts all n of them in one pass over V's
+cached signatures.
 """
 
 from __future__ import annotations
@@ -180,6 +185,42 @@ def _histogram_f(patterns: tuple[SignVector, ...], d: int, n: int) -> FMatrix:
 @lru_cache(maxsize=_CACHE_SIZE)
 def f_matrix(v: VectorConfig) -> FMatrix:
     return _histogram_f(dissection_patterns(v), v.d, v.n)
+
+
+def minor_f_matrices(v: VectorConfig, mode: str) -> list[FMatrix]:
+    """f(V/i) ("contract") or f(V\\i) ("delete") for i = 1..n, from V's faces.
+
+    With A0_i, A-_i and A+_i[s][t] counting V's faces at (s, t) by the sign
+    of X_i, the faces of V/i are those with X_i = 0, so
+    f(V/i)[s][t] = A0_i[s+1][t].  The faces of V\\i are V's with X_i
+    dropped: one that hyperplane i misses has one preimage, one it cuts has
+    three (X_i = +, 0, -), so
+    f(V\\i)[s][t] = A+_i[s][t] + A-_i[s][t+1] - A0_i[s+1][t].
+    Contraction needs r >= 2 and deletion n > r; the caller checks.
+    """
+    n, d = v.n, v.d
+    full = [[0] * (n + 1) for _ in range(d + 2)]  # row d+1 stays zero
+    zero = [[[0] * (n + 1) for _ in range(d + 2)] for _ in range(n)]
+    neg = [[[0] * (n + 1) for _ in range(d + 2)] for _ in range(n)]
+    cells: dict[tuple[int, int], list[SignVector]] = {}
+    for p in dissection_patterns(v):
+        cells.setdefault((p.count(0), p.count(-1)), []).append(p)
+    for (s, t), cell in cells.items():
+        full[s][t] = len(cell)
+        for i, signs in enumerate(zip(*cell)):
+            zero[i][s][t] = signs.count(0)
+            neg[i][s][t] = signs.count(-1)
+    if mode == "contract":
+        return [FMatrix(d - 1, n - 1, tuple(tuple(row[:n]) for row in z[1 : d + 1])) for z in zero]
+    out = []
+    for z, m in zip(zero, neg):
+        rows = tuple(
+            # A+ = full - A0 - A-
+            tuple(full[s][t] - z[s][t] - m[s][t] + m[s][t + 1] - z[s + 1][t] for t in range(n))
+            for s in range(d + 1)
+        )
+        out.append(FMatrix(d, n - 1, rows))
+    return out
 
 
 def fstar_from_patterns(patterns: tuple[SignVector, ...], r: int, n: int) -> FStarMatrix:

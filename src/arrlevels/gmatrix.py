@@ -15,15 +15,19 @@ is determined by its upper-left quadrant (the small g-matrix).  This module
 computes g from a pair of f-matrices by inverting the first transform
 column-by-column, applies both transforms, provides the closed form for a
 coneighborly to neighborly pair, and checks the summation identities tying
-g to the g's of contracted and deleted subpairs.
+g to the g's of contracted and deleted subpairs.  Those minors' f-matrices
+are restrictions of the pair's own faces (faces.minor_f_matrices), so the
+identity checks enumerate only V and W.
 """
 
 from __future__ import annotations
 
-from .config import VectorConfig, contract, delete
+import math
+
+from .config import VectorConfig
 from .errors import DimensionError, InconsistentInputError
 from .exactnum import _Record
-from .faces import FMatrix, f_matrix
+from .faces import FMatrix, f_matrix, minor_f_matrices
 from .relations import RelationReport, binom
 
 IntGrid = tuple[tuple[int, ...], ...]
@@ -120,19 +124,22 @@ def delta_f_from_g(g: GMatrix) -> IntGrid:
     """Face-count difference determined by g, shaped like an f-matrix.
 
     Entry (s,t) is the coefficient of x^s y^t in
-    sum_{j,k} g_{j,k} (x+y)^j (1+x)^(r-j) y^k, summed directly as binomial
-    products.  The row s = r of the expansion must vanish (it does for
-    every skew-symmetric g); otherwise the input is rejected.
+    sum_{j,k} g_{j,k} (x+y)^j (1+x)^(r-j) y^k.  Each nonzero g_{j,k} = c is
+    scattered term by term: x^(j-a) y^a from (x+y)^j and x^b from
+    (1+x)^(r-j) add c C(j,a) C(r-j,b) at (j-a+b, k+a).  The row s = r of
+    the expansion must vanish (it does for every skew-symmetric g);
+    otherwise the input is rejected.
     """
     r = g.r
-    terms = [(j, k, c) for j, row in enumerate(g.rows) for k, c in enumerate(row) if c]
-    grid = [
-        [
-            sum(binom(j, t - k) * binom(r - j, s - j + t - k) * c for j, k, c in terms)
-            for t in range(g.n + 1)
-        ]
-        for s in range(r + 1)
-    ]
+    grid = [[0] * (g.n + 1) for _ in range(r + 1)]
+    for j, row in enumerate(g.rows):
+        for k, c in enumerate(row):
+            if not c:
+                continue
+            for a in range(j + 1):
+                ca = c * math.comb(j, a)
+                for b in range(r - j + 1):
+                    grid[j - a + b][k + a] += ca * math.comb(r - j, b)
     if any(x != 0 for x in grid[r]):
         raise InconsistentInputError("delta-f has entries at zero-set size r; g is not skew-symmetric")
     return tuple(tuple(row) for row in grid[:r])
@@ -182,27 +189,26 @@ def g_from_fmatrices(fv: FMatrix, fw: FMatrix) -> GMatrix:
     transform; anything else means the inputs were not genuine f-matrices
     of configurations.  These two checks are the whole input validation:
     the image of a skew g has zero row sums, so changing any single entry
-    of either input breaks one of them.
+    of either input breaks one of them.  Every binomial has top at most r
+    and is read from Pascal rows built once per call.
     """
     if (fv.d, fv.n) != (fw.d, fw.n):
         raise DimensionError("f-matrices have different (d, n)")
     r, n = fv.d + 1, fv.n
-    delta = [[fw.entry(s, t) - fv.entry(s, t) for t in range(n + 1)] for s in range(fv.d + 1)]
+    pascal = [[math.comb(a, b) for b in range(a + 1)] for a in range(r + 1)]
+    delta = [[b - a for a, b in zip(row_v, row_w)] for row_v, row_w in zip(fv.rows, fw.rows)]
     g_rows: list[list[int]] = [[0] * (n - r + 1) for _ in range(r + 1)]
     for t in range(n - r + 1):
-        rho = [0] * (r + 1)  # coefficient of x^m in the remainder
-        for s in range(fv.d + 1):
-            if delta[s][t]:
-                rho[s] += delta[s][t]
-        for j in range(r + 1):
-            for k in range(t):
-                c = g_rows[j][k] * binom(j, t - k)
+        rho = [row[t] for row in delta] + [0]  # coefficient of x^m in the remainder
+        for j, row in enumerate(g_rows):
+            for k in range(max(t - j, 0), t):
+                c = row[k] * pascal[j][t - k]
                 if c:
-                    for b in range(r - j + 1):
-                        rho[j + k - t + b] -= c * binom(r - j, b)
-        for j in range(r + 1):
-            g_rows[j][t] = sum(
-                rho[m] * (-1) ** (j - m) * binom(r - m, j - m) for m in range(j + 1)
+                    for b, cb in enumerate(pascal[r - j], start=j + k - t):
+                        rho[b] -= c * cb
+        for j, row in enumerate(g_rows):
+            row[t] = sum(
+                rho[m] * pascal[r - m][j - m] * (-1 if (j - m) % 2 else 1) for m in range(j + 1)
             )
     g = GMatrix(r, n, tuple(tuple(row) for row in g_rows))
     if not satisfies_skew(g):
@@ -245,6 +251,9 @@ def check_contraction_deletion(v: VectorConfig, w: VectorConfig, mode: str) -> R
 
     contract mode:  sum_i g_{j,k}(V/v_i -> W/w_i) = (r-j) g_{j,k} + (j+1) g_{j+1,k}
     delete mode:    sum_i g_{j,k}(V\\v_i -> W\\w_i) = (n-r-k) g_{j,k} + (k+1) g_{j,k+1}
+
+    The minors' f-matrices are restrictions of V's and W's own faces
+    (faces.minor_f_matrices); no minor configuration is built.
     """
     if (v.r, v.n) != (w.r, w.n):
         raise DimensionError("pair must share rank and size")
@@ -253,7 +262,7 @@ def check_contraction_deletion(v: VectorConfig, w: VectorConfig, mode: str) -> R
     if mode == "contract":
         if r < 2:
             raise DimensionError("contract mode needs r >= 2")
-        relation, minor = "contraction", contract
+        relation = "contraction"
 
         def right(j: int, k: int) -> int:
             return (r - j) * g.entry(j, k) + (j + 1) * g.entry(j + 1, k)
@@ -261,14 +270,15 @@ def check_contraction_deletion(v: VectorConfig, w: VectorConfig, mode: str) -> R
     elif mode == "delete":
         if n < r + 1:
             raise DimensionError("delete mode needs n >= r+1")
-        relation, minor = "deletion", delete
+        relation = "deletion"
 
         def right(j: int, k: int) -> int:
             return (n - r - k) * g.entry(j, k) + (k + 1) * g.entry(j, k + 1)
 
     else:
         raise DimensionError(f"unknown mode {mode!r}")
-    minors = [g_of_pair(minor(v, i), minor(w, i)) for i in range(1, n + 1)]
+    pairs = zip(minor_f_matrices(v, mode), minor_f_matrices(w, mode))
+    minors = [g_from_fmatrices(fv, fw) for fv, fw in pairs]
     for j, row in enumerate(minors[0].rows):
         for k in range(len(row)):
             left, want = sum(m.entry(j, k) for m in minors), right(j, k)

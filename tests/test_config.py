@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -34,8 +35,8 @@ from arrlevels.errors import (
     FileFormatError,
     GeneralPositionError,
 )
-from arrlevels.exactnum import Mat
-from arrlevels.faces import dissection_patterns, f_matrix, fstar_matrix
+from arrlevels.exactnum import Mat, det
+from arrlevels.faces import f_matrix, fstar_matrix, minor_f_matrices
 
 
 TRIANGLE = new_config(2, 3, [(1, 0), (0, 1), (1, 1)])
@@ -49,6 +50,39 @@ def test_new_config_collinear_pair_rejected():
     with pytest.raises(GeneralPositionError) as info:
         new_config(2, 2, [(1, 0), (2, 0)])
     assert info.value.subset == (1, 2)
+
+
+# (r, n, columns) with entries in [-1, 1], so dependent subsets are common
+_SMALL_ENTRIES = st.integers(1, 7).flatmap(
+    lambda n: st.integers(1, n).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.just(n),
+            st.lists(st.lists(st.integers(-1, 1), min_size=r, max_size=r), min_size=n, max_size=n),
+        )
+    )
+)
+
+
+@settings(max_examples=200)
+@given(case=_SMALL_ENTRIES)
+def test_general_position_names_the_first_dependent_subset(case):
+    # the oracle: one determinant per r-subset, in combinations order
+    r, n, cols = case
+    want = next(
+        (
+            tuple(j + 1 for j in subset)
+            for subset in itertools.combinations(range(n), r)
+            if det(Mat.from_rows([[cols[j][i] for j in subset] for i in range(r)])) == 0
+        ),
+        None,
+    )
+    try:
+        new_config(r, n, cols)
+        got = None
+    except GeneralPositionError as exc:
+        got = exc.subset
+    assert got == want
 
 
 def test_new_config_rank_one():
@@ -257,25 +291,26 @@ def test_derived_configurations_pass_validation(shape, index, c):
         assert new_config(w.r, w.n, w.columns()) == w
 
 
-def _histogram(patterns, r: int, n: int):
-    grid = [[0] * (n + 1) for _ in range(r)]
-    for p in patterns:
-        grid[p.count(0)][p.count(-1)] += 1
-    return tuple(tuple(row) for row in grid)
+# (n, r, seed, pointed) with r = 1 (deletion only), r = n - 1 and r = n
+# (contraction only) drawn as often as the shapes between them
+_MINOR_SHAPES = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sampled_from(sorted({1, max(n - 1, 1), n})) | st.integers(1, n),
+        st.integers(0, 2**31 - 1),
+        st.booleans(),
+    )
+)
 
 
 @settings(max_examples=100)
-@given(shape=_SHAPES, index=st.integers(1, 8))
-def test_minor_face_counts_from_the_parent_patterns(shape, index):
-    # the faces of V/i are those of V with X_i = 0, and the faces of V\i
-    # are those of V, each with coordinate i dropped
+@given(shape=_MINOR_SHAPES)
+def test_minor_face_counts_from_the_parent_patterns(shape):
+    # minor_f_matrices restricts V's own faces; the minors' own enumerations
+    # are the oracle, for every column i
     n, r, seed, pointed = shape
     v = gen_random(n, r, seed, pointed=pointed)
-    i = 1 + (index - 1) % n
-    patterns = dissection_patterns(v)
     if r >= 2:
-        kept = {p[: i - 1] + p[i:] for p in patterns if p[i - 1] == 0}
-        assert f_matrix(contract(v, i)).rows == _histogram(kept, r - 1, n - 1)
+        assert minor_f_matrices(v, "contract") == [f_matrix(contract(v, i)) for i in range(1, n + 1)]
     if n > r:
-        kept = {p[: i - 1] + p[i:] for p in patterns}
-        assert f_matrix(delete(v, i)).rows == _histogram(kept, r, n - 1)
+        assert minor_f_matrices(v, "delete") == [f_matrix(delete(v, i)) for i in range(1, n + 1)]

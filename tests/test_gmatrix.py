@@ -300,8 +300,8 @@ def test_minor_identities_trivial_pair():
 def test_minor_identity_failure_names_the_first_differing_entry(monkeypatch, mode, pair, witness):
     # every minor taken at column 1 breaks the sums; the report names the
     # first entry (j, k), in row-major order, where they differ
-    minor = getattr(gmatrix, mode)
-    monkeypatch.setattr(gmatrix, mode, lambda v, i: minor(v, 1))
+    minors = gmatrix.minor_f_matrices
+    monkeypatch.setattr(gmatrix, "minor_f_matrices", lambda v, mode: [minors(v, mode)[0]] * v.n)
     v, w = (gen_random(n, r, seed, pointed=pointed) for n, r, seed, pointed in pair)
     rep = check_contraction_deletion(v, w, mode)
     assert (rep.holds, rep.witness) == (False, witness)
@@ -313,16 +313,16 @@ def test_minor_identity_failure_names_the_first_differing_entry(monkeypatch, mod
 )
 def test_minor_identity_checks_the_last_entry(monkeypatch, mode, witness):
     # only the bottom-right entry of each minor's g-matrix is off by one
-    g_of_minor = gmatrix.g_of_pair
+    g_of_minor = gmatrix.g_from_fmatrices
 
-    def bumped(v, w):
-        g = g_of_minor(v, w)
-        if (v.r, v.n) == (3, 6):
+    def bumped(fv, fw):
+        g = g_of_minor(fv, fw)
+        if (g.r, g.n) == (3, 6):
             return g
         rows = [list(row) for row in g.rows]
         rows[-1][-1] += 1
         return GMatrix(g.r, g.n, tuple(tuple(row) for row in rows))
 
-    monkeypatch.setattr(gmatrix, "g_of_pair", bumped)
+    monkeypatch.setattr(gmatrix, "g_from_fmatrices", bumped)
     rep = check_contraction_deletion(gen_cocyclic(6, 3), gen_cyclic(6, 3), mode)
     assert (rep.holds, rep.witness) == (False, witness)

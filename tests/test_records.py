@@ -8,6 +8,7 @@ consistency checks of its constructor.
 
 from __future__ import annotations
 
+import copy
 import pickle
 from fractions import Fraction
 
@@ -164,3 +165,16 @@ def test_f_matrix_cache_hits_an_equal_distinct_configuration():
     hits = faces.f_matrix.cache_info().hits
     assert faces.f_matrix(w) is fm
     assert faces.f_matrix.cache_info().hits == hits + 1
+
+
+def test_configuration_hash_is_stored_once_and_survives_pickle_and_copy(monkeypatch):
+    v, w = gen_cyclic(5, 3), gen_cyclic(5, 3)
+    h = hash(v)
+    assert hash(w) == h
+    # the stored hash is read back without hashing the matrix again
+    monkeypatch.setattr(Mat, "__hash__", lambda self: 1 / 0)
+    assert hash(v) == h
+    monkeypatch.undo()
+    for u in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        assert u == v and hash(u) == h
+    assert VectorConfig.__slots__ == ("r", "n", "mat")
