@@ -22,11 +22,12 @@ All arithmetic is integer (columns are pre-scaled), so signatures are exact.
 
 The f-matrix histograms dissection patterns by (|F_0|, |F_-|).  The
 f*-matrix counts dependency patterns by (|F_+| + |F_-|, |F_-|); it is not
-enumerated but computed from the f-matrix by the exact f -> f* transform
-of relations.f_fstar_transform, since by Gale duality the face counts fix
-the dependency counts.  Dependency patterns are still enumerated on the
-Gale dual for callers that want the patterns themselves, and, together
-with the certificate oracle, as independent cross-checks of the counts.
+enumerated but computed from the f-matrix rows by the exact f -> f*
+transform on integer grids (relations.exchange), since by Gale duality the
+face counts fix the dependency counts.  Dependency patterns are still
+enumerated on the Gale dual for callers that want the patterns themselves,
+and, together with the certificate oracle, as independent cross-checks of
+the counts.
 
 The f-matrices of the minors V/i and V\\i need no enumeration of their
 own: their faces are V's faces with X_i = 0, and V's faces with X_i
@@ -235,18 +236,17 @@ def fstar_from_patterns(patterns: tuple[SignVector, ...], r: int, n: int) -> FSt
 @lru_cache(maxsize=_CACHE_SIZE)
 def fstar_matrix(v: VectorConfig) -> FStarMatrix:
     """Dependency counts from the face counts: entry (s,t) is the
-    coefficient of x^(n-s) y^t in the f -> f* transform of the f-polynomial."""
-    from .relations import f_fstar_transform
+    coefficient of x^(n-s) y^t in the f -> f* transform of the f-matrix."""
+    from .relations import exchange
 
     n = v.n
-    poly = f_fstar_transform(f_polynomial(f_matrix(v)), n, v.r, "f_to_fstar")
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
-    for (i, t), c in poly.terms.items():
-        s = n - i
-        if c < 0 or not (v.r + 1 <= s <= n and 0 <= t <= s):
-            raise InconsistentInputError(f"transform gives f*[{s}][{t}] = {c}, not a dependency count")
-        grid[s][t] = int(c)
-    return FStarMatrix(v.r, n, tuple(tuple(row) for row in grid))
+    grid = exchange(f_matrix(v).rows, n, (-1) ** v.r)
+    for t in range(n + 1):
+        for i in range(n - t + 1):
+            c, s = grid[i][t], n - i
+            if c and (c < 0 or not (v.r + 1 <= s <= n and 0 <= t <= s)):
+                raise InconsistentInputError(f"transform gives f*[{s}][{t}] = {c}, not a dependency count")
+    return FStarMatrix(v.r, n, tuple(tuple(row) for row in reversed(grid)))
 
 
 def f_polynomial(fm: FMatrix):

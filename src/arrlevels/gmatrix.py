@@ -11,9 +11,10 @@ and the change in dependency counts by the companion transform
     f*_W(x,y) - f*_V(x,y) = sum_{j,k} -g_{j,k} (x+y)^k (x+1)^(n-r-k) y^j.
 
 g satisfies the skew-symmetries g_{j,k} = -g_{r-j,k} = -g_{j,n-r-k}, so it
-is determined by its upper-left quadrant (the small g-matrix).  This module
-computes g from a pair of f-matrices by inverting the first transform
-column-by-column, applies both transforms, provides the closed form for a
+is determined by its upper-left quadrant (the small g-matrix).  Both
+transforms are sums that relations.scatter expands term by term.  This
+module applies them, computes g from a pair of f-matrices by inverting the
+first one column by column, provides the closed form for a
 coneighborly to neighborly pair, and checks the summation identities tying
 g to the g's of contracted and deleted subpairs.  Those minors' f-matrices
 are restrictions of the pair's own faces (faces.minor_f_matrices), so the
@@ -28,7 +29,7 @@ from .config import VectorConfig
 from .errors import DimensionError, InconsistentInputError
 from .exactnum import _Record
 from .faces import FMatrix, f_matrix, minor_f_matrices
-from .relations import RelationReport, binom
+from .relations import RelationReport, binom, scatter
 
 IntGrid = tuple[tuple[int, ...], ...]
 
@@ -124,48 +125,37 @@ def delta_f_from_g(g: GMatrix) -> IntGrid:
     """Face-count difference determined by g, shaped like an f-matrix.
 
     Entry (s,t) is the coefficient of x^s y^t in
-    sum_{j,k} g_{j,k} (x+y)^j (1+x)^(r-j) y^k.  Each nonzero g_{j,k} = c is
-    scattered term by term: x^(j-a) y^a from (x+y)^j and x^b from
-    (1+x)^(r-j) add c C(j,a) C(r-j,b) at (j-a+b, k+a).  The row s = r of
-    the expansion must vanish (it does for every skew-symmetric g);
-    otherwise the input is rejected.
+    sum_{j,k} g_{j,k} (x+y)^j (1+x)^(r-j) y^k, scattered term by term
+    (relations.scatter).  The row s = r of the expansion must vanish (it
+    does for every skew-symmetric g); otherwise the input is rejected.
     """
     r = g.r
     grid = [[0] * (g.n + 1) for _ in range(r + 1)]
-    for j, row in enumerate(g.rows):
-        for k, c in enumerate(row):
-            if not c:
-                continue
-            for a in range(j + 1):
-                ca = c * math.comb(j, a)
-                for b in range(r - j + 1):
-                    grid[j - a + b][k + a] += ca * math.comb(r - j, b)
+    scatter(grid, _column_terms(g.rows, r, range(g.n - r + 1)))
     if any(x != 0 for x in grid[r]):
         raise InconsistentInputError("delta-f has entries at zero-set size r; g is not skew-symmetric")
     return tuple(tuple(row) for row in grid[:r])
+
+
+def _column_terms(rows, r: int, columns):
+    """The scatter terms of g_{j,k} (x+y)^j (1+x)^(r-j) y^k over the given columns."""
+    return ((row[k], 0, k, j, r - j) for k in columns for j, row in enumerate(rows) if row[k])
 
 
 def delta_fstar_from_g(g: GMatrix) -> IntGrid:
     """Dependency-count difference determined by g, shaped like an f*-matrix.
 
     Entry (s,t) is the coefficient of x^(n-s) y^t in
-    sum_{j,k} -g_{j,k} (x+y)^k (x+1)^(n-r-k) y^j, summed directly as the
-    binomial products -g_{j,k} C(k, t-j) C(n-r-k, n-s-k+t-j).  The row
-    s = r must vanish (it does for every skew-symmetric g); otherwise the
-    input is rejected.
+    sum_{j,k} -g_{j,k} (x+y)^k (x+1)^(n-r-k) y^j, scattered term by term
+    (relations.scatter).  The row s = r must vanish (it does for every
+    skew-symmetric g); otherwise the input is rejected.
     """
     n, nr = g.n, g.n - g.r
-    terms = [(j, k, c) for j, row in enumerate(g.rows) for k, c in enumerate(row) if c]
-    grid = tuple(
-        tuple(
-            -sum(binom(k, t - j) * binom(nr - k, n - s - k + t - j) * c for j, k, c in terms)
-            for t in range(n + 1)
-        )
-        for s in range(n + 1)
-    )
-    if any(x != 0 for x in grid[g.r]):
+    grid = [[0] * (n + 1) for _ in range(n + 1)]
+    scatter(grid, ((-c, 0, j, k, nr - k) for j, row in enumerate(g.rows) for k, c in enumerate(row) if c))
+    if any(x != 0 for x in grid[nr]):
         raise InconsistentInputError("delta-fstar has entries at support size r; g is not skew-symmetric")
-    return grid
+    return tuple(tuple(row) for row in reversed(grid))
 
 
 def g_from_fmatrices(fv: FMatrix, fw: FMatrix) -> GMatrix:
@@ -177,44 +167,42 @@ def g_from_fmatrices(fv: FMatrix, fw: FMatrix) -> GMatrix:
         sum_s (fw-fv)_{s,t} x^s = sum_j sum_{k<=t} g_{j,k} C(j, t-k)
                                   x^(j+k-t) (1+x)^(r-j),
 
-    every exponent nonnegative since C(j, t-k) = 0 unless t-k <= j.  With
-    the k < t part moved to the left, the unknown column g_{.,t} is the
+    every exponent nonnegative since C(j, t-k) = 0 unless t-k <= j.  The
+    k < t part is the running expansion of the columns already solved:
+    each solved column is scattered into it (relations.scatter).  With
+    that part moved to the left, the unknown column g_{.,t} is the
     coordinate vector of the remainder in the basis x^j (1+x)^(r-j),
     extracted through the substitution x -> z/(1-z):
 
         g_{j,t} = sum_m rho_m (-1)^(j-m) C(r-m, j-m),
 
     rho being the remainder's coefficients.  The result must be
-    skew-symmetric and must reproduce fw - fv through the forward
-    transform; anything else means the inputs were not genuine f-matrices
-    of configurations.  These two checks are the whole input validation:
-    the image of a skew g has zero row sums, so changing any single entry
-    of either input breaks one of them.  Every binomial has top at most r
-    and is read from Pascal rows built once per call.
+    skew-symmetric, and once every column is scattered the running
+    expansion is delta_f_from_g(g), which must reproduce fw - fv; anything
+    else means the inputs were not genuine f-matrices of configurations.
+    These two checks are the whole input validation: the image of a skew
+    g has zero row sums, so changing any single entry of either input
+    breaks one of them.
     """
     if (fv.d, fv.n) != (fw.d, fw.n):
         raise DimensionError("f-matrices have different (d, n)")
     r, n = fv.d + 1, fv.n
     pascal = [[math.comb(a, b) for b in range(a + 1)] for a in range(r + 1)]
     delta = [[b - a for a, b in zip(row_v, row_w)] for row_v, row_w in zip(fv.rows, fw.rows)]
+    delta.append([0] * (n + 1))
+    expansion = [[0] * (n + 1) for _ in range(r + 1)]
     g_rows: list[list[int]] = [[0] * (n - r + 1) for _ in range(r + 1)]
     for t in range(n - r + 1):
-        rho = [row[t] for row in delta] + [0]  # coefficient of x^m in the remainder
-        for j, row in enumerate(g_rows):
-            for k in range(max(t - j, 0), t):
-                c = row[k] * pascal[j][t - k]
-                if c:
-                    for b, cb in enumerate(pascal[r - j], start=j + k - t):
-                        rho[b] -= c * cb
+        rho = [row[t] - done[t] for row, done in zip(delta, expansion)]
         for j, row in enumerate(g_rows):
             row[t] = sum(
                 rho[m] * pascal[r - m][j - m] * (-1 if (j - m) % 2 else 1) for m in range(j + 1)
             )
+        scatter(expansion, _column_terms(g_rows, r, (t,)))
     g = GMatrix(r, n, tuple(tuple(row) for row in g_rows))
     if not satisfies_skew(g):
         raise InconsistentInputError("inverted g violates skew-symmetry; inputs inconsistent")
-    back = delta_f_from_g(g)
-    if [list(row) for row in back] != delta:
+    if expansion != delta:
         raise InconsistentInputError("g does not reproduce the f-matrix difference; inputs inconsistent")
     return g
 

@@ -8,12 +8,14 @@ are verified with zero tolerance:
   configuration and equals the closed form
       2*C(n,s) * sum_{i=0}^{d-s} C(n-s-1, i);
 * the Dehn-Sommerville style reflection f(x,y) = (-1)^d f(-(x+y+1), y),
-  checked coefficient-wise through the equivalent binomial sums, which
-  name the first violated coefficient;
+  checked coefficient-wise, naming the first violated coefficient;
 * the exchange between f- and f*-polynomials, the substitution
-  (x, y) -> (-x/(x+1), (x+y)/(x+1)) with denominators cleared, evaluated
-  coefficient by coefficient as integer binomial sums rather than by
-  expanding polynomials.  faces.fstar_matrix counts dependencies with it.
+  (x, y) -> (-x/(x+1), (x+y)/(x+1)) with denominators cleared.
+  faces.fstar_matrix counts dependencies with it.
+
+Both substitutions, and gmatrix's transforms between g and count
+differences, expand sums of c x^a y^b (x+y)^p (1+x)^q onto a plain
+integer grid with one kernel, scatter.
 
 Checks accept either a configuration or a raw FMatrix, so corrupted
 matrices can be fed in deliberately as negative controls.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from . import poly2
 from .config import VectorConfig
@@ -90,41 +93,63 @@ def check_totals(v: VectorConfig | FMatrix) -> RelationReport:
 
 
 def check_dehn_sommerville(v: VectorConfig | FMatrix) -> RelationReport:
-    """Reflection identity, compared coefficient by coefficient through
-    the equivalent binomial sums; the witness names the first coefficient
-    that differs.
+    """Reflection identity, compared coefficient by coefficient; the
+    witness names the first coefficient that differs.
 
-    The row s = d is skipped: there C(j, d) leaves only j = d, and
-    C(0, t - l) only l = t, so its reflected sum is f[d][t] itself and
-    that row can never fail.
+    (-1)^d f(-(x+y+1), y) takes two scatters: h = (-1)^d f(-(1+x), y),
+    then x -> x+y in h.  The row s = d is skipped: only the x^d term of h
+    reaches it, and that term is f[d][t] y^t, so the row can never fail.
     """
     fm = _as_fmatrix(v)
     d, n = fm.d, fm.n
+    h = scatter([[0] * (n + 1) for _ in range(d + 1)],
+                [((-1) ** (d - j) * c, 0, ell, 0, j)
+                 for j, row in enumerate(fm.rows) for ell, c in enumerate(row) if c])
+    grid = scatter([[0] * (n + d + 1) for _ in range(d + 1)],
+                   [(c, 0, ell, p, 0) for p, row in enumerate(h) for ell, c in enumerate(row) if c])
     for s in range(d):
-        for t in range(n + d + 1):
-            rhs = 0
-            for j in range(d + 1):
-                for ell in range(n + 1):
-                    c = fm.entry(j, ell)
-                    if c:
-                        rhs += (-1) ** (d - j) * binom(j, s) * binom(j - s, t - ell) * c
+        for t, rhs in enumerate(grid[s]):
             if fm.entry(s, t) != rhs:
                 w = f"f[{s}][{t}]={fm.entry(s, t)} != reflected sum {rhs}"
                 return RelationReport("dehn-sommerville", False, w)
     return RelationReport("dehn-sommerville", True)
 
 
+def scatter(grid: list[list[int]], terms: Iterable[tuple[int, int, int, int, int]]) -> list[list[int]]:
+    """Add sum c x^a y^b (x+y)^p (1+x)^q over the terms (c, a, b, p, q) to
+    the integer grid indexed [x-degree][y-degree], in place, and return it.
+
+    x^(p-i) y^i from (x+y)^p and x^m from (1+x)^q add c C(p,i) C(q,m) at
+    (a+p-i+m, b+i).  Every count transform of the library is such a sum:
+    f <-> f*, the reflection, and g -> delta f and delta f*.
+    """
+    for c, a, b, p, q in terms:
+        for i in range(p + 1):
+            ci, row, col = c * math.comb(p, i), a + p - i, b + i
+            for m in range(q + 1):
+                grid[row + m][col] += ci * math.comb(q, m)
+    return grid
+
+
+def exchange(rows: Sequence[Sequence[int]], n: int, sign: int) -> list[list[int]]:
+    """The f <-> f* transform on integer grids indexed [x-degree][y-degree]:
+    (x+y+1)^n - sign x^n - sum_{a,b} rows[a][b] (-x)^a (x+y)^b (x+1)^(n-a-b),
+    an (n+1) x (n+1) grid.  Every input entry needs a + b <= n.
+    """
+    grid = [[0] * (n + 1) for _ in range(n + 1)]
+    scatter(grid, [(math.comb(n, b), 0, 0, b, 0) for b in range(n + 1)])  # (x+y+1)^n
+    scatter(grid, [(c if a % 2 else -c, a, 0, b, n - a - b)
+                   for a, row in enumerate(rows) for b, c in enumerate(row) if c])
+    grid[n][0] -= sign
+    return grid
+
+
 def f_fstar_transform(p: poly2.BiPoly, n: int, r: int, direction: str) -> poly2.BiPoly:
     """Exchange f- and f*-polynomials of a rank-r size-n configuration.
 
     direction "f_to_fstar" maps the f-polynomial to the f*-polynomial;
-    "fstar_to_f" is the inverse.  Both compute
-        (x+y+1)^n - sign * x^n - sum_{a,b} p_{a,b} (-x)^a (x+y)^b (x+1)^(n-a-b)
-    with sign = (-1)^r, resp. (-1)^(n-r), one coefficient at a time: the
-    coefficient of x^i y^j is
-        C(n,j) C(n-j,i) - sign [i=n, j=0]
-            - sum_{a,b} p_{a,b} (-1)^a C(b,j) C(n-a-b, i-a-b+j).
-    Every total degree is at most n.  The input coefficients must be
+    "fstar_to_f" is the inverse.  Both compute exchange(p, n, sign) with
+    sign = (-1)^r, resp. (-1)^(n-r).  The input coefficients must be
     integers, and so are the output's.
     """
     if direction == "f_to_fstar":
@@ -135,20 +160,12 @@ def f_fstar_transform(p: poly2.BiPoly, n: int, r: int, direction: str) -> poly2.
         max_x = n - r - 1
     else:
         raise DimensionError(f"unknown direction {direction!r}")
-    terms = []
+    rows = [[0] * (n + 1) for _ in range(max_x + 1)]
     for (a, b), c in p.terms.items():
         if a > max_x or b > n or a + b > n:
             raise DimensionError(f"monomial x^{a} y^{b} outside the window for n={n}, r={r}")
         if c.denominator != 1:
             raise InconsistentInputError(f"coefficient {c} of x^{a} y^{b} is not an integer")
-        terms.append((a, b, (-1) ** a * int(c)))
-    out = {}
-    for j in range(n + 1):
-        # the terms with C(b,j) != 0, as (a+b-j, n-a-b, coefficient * C(b,j))
-        row = [(a + b - j, n - a - b, c * binom(b, j)) for a, b, c in terms if b >= j]
-        for i in range(n - j + 1):
-            out[(i, j)] = Fraction(
-                binom(n, j) * binom(n - j, i) - sum(c * binom(m, i - lo) for lo, m, c in row)
-            )
-    out[(n, 0)] -= sign
-    return poly2.BiPoly(out)
+        rows[a][b] = int(c)
+    grid = exchange(rows, n, sign)
+    return poly2.BiPoly({(i, j): Fraction(grid[i][j]) for j in range(n + 1) for i in range(n - j + 1)})

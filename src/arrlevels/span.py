@@ -192,37 +192,22 @@ def g_span_rank(n: int, r: int, mode: str, samples: int, seed: int) -> SpanRepor
     return _report(n, r, mode, dim, vectors, [label for _, _, label in pool])
 
 
-def _config_pool(n: int, r: int, mode: str, samples: int, seed: int):
-    rng = random.Random(seed)
-    out = []
-    if mode == "general":
-        out.append((gen_cocyclic(n, r), f"cocyclic({n},{r})"))
-        while len(out) < samples:
-            s = rng.randrange(2**31)
-            out.append((gen_random(n, r, s), f"random(seed={s})"))
-    else:
-        out.extend(_pointed_anchors(n, r))
-        while len(out) < samples:
-            s = rng.randrange(2**31)
-            out.append((gen_random(n, r, s, pointed=True), f"pointed(seed={s})"))
-    return out[:samples]
-
-
 def f_affine_span_rank(n: int, r: int, mode: str, samples: int, seed: int) -> SpanReport:
-    """Exact rank of face-count differences against the cyclic base point.
+    """Exact rank of the face-count differences f(W) - f(V) over the pairs
+    that g_span_rank samples.
 
-    Equals g_span_rank on the same pairs, since the increment-to-face-count
-    transform is injective.
+    The increment-to-face-count transform is injective, so the rank and
+    the basis labels equal g_span_rank's on the same arguments.  It is
+    library API: a second route to the paper's span dimension.
     """
     dim = theoretical_dim(n, r, mode)
     if r < 1 or n <= r:
         raise DimensionError(f"need n > r >= 1, got r={r}, n={n}")
     if samples < max(dim, 1):
         raise DimensionError(f"need at least {max(dim, 1)} samples for shape ({n},{r}), got {samples}")
-    fbase = f_matrix(gen_cyclic(n, r))
-    pool = _config_pool(n, r, mode, samples, seed)
+    pool = _pair_pool(n, r, mode, samples, seed)
     vectors = [
-        tuple(rat(x - y) for row, brow in zip(f_matrix(cfg).rows, fbase.rows) for x, y in zip(row, brow))
-        for cfg, _ in pool
+        tuple(rat(y - x) for rv, rw in zip(f_matrix(va).rows, f_matrix(vb).rows) for x, y in zip(rv, rw))
+        for va, vb, _ in pool
     ]
-    return _report(n, r, mode, dim, vectors, [f"cyclic({n},{r}) -> {label}" for _, label in pool])
+    return _report(n, r, mode, dim, vectors, [label for _, _, label in pool])

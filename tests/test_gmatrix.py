@@ -257,7 +257,9 @@ def test_inversion_rejects_fake_counts():
 
 def test_inversion_rejects_every_unit_corruption():
     # a skew g maps to a difference with zero row sums, so no single-entry
-    # change of either input is the image of any g
+    # change of either input is the image of any g.  A corruption in a
+    # column t <= n-r enters the solved columns and breaks skew-symmetry;
+    # one further right is only seen by the reproduce check
     rejected = 0
     for n, r in ((4, 2), (5, 3), (6, 3), (7, 4), (8, 5)):
         fv, fw = f_matrix(gen_cocyclic(n, r)), f_matrix(gen_cyclic(n, r))
@@ -266,8 +268,9 @@ def test_inversion_rejects_every_unit_corruption():
                 for step in (1, -1):
                     delta = [[0] * (n + 1) for _ in range(r)]
                     delta[s][t] = step
+                    want = "skew" if t <= n - r else "reproduce"
                     for a, b in ((_add_grid(fv, delta), fw), (fv, _add_grid(fw, delta))):
-                        with pytest.raises(InconsistentInputError):
+                        with pytest.raises(InconsistentInputError, match=want):
                             g_from_fmatrices(a, b)
                         rejected += 1
     assert rejected == 504

@@ -24,6 +24,7 @@ from arrlevels.relations import (
     check_dehn_sommerville,
     check_totals,
     f_fstar_transform,
+    scatter,
     total_face_count,
 )
 
@@ -37,15 +38,30 @@ def _total_by_parity_sum(n: int, d: int, s: int) -> int:
     return sum((1 + (-1) ** i) * binom(n, d - i) * binom(d - i, s) for i in range(d + 1))
 
 
-def _ds_by_substitution(fm: FMatrix) -> bool:
+def _ds_by_substitution(fm: FMatrix) -> tuple[int, int, int] | None:
     """Oracle for check_dehn_sommerville: substitute x -> -(x+y+1) into the
-    f-polynomial and compare with (-1)^d times the original."""
+    f-polynomial and compare with (-1)^d times the original.  Returns None
+    when they agree, else the first differing (s, t) in row-major order
+    and the reflected coefficient there."""
     p = f_polynomial(fm)
     x, y = BiPoly.var_x(), BiPoly.var_y()
     q = substitute(p, x.add(y).add(BiPoly.const(1)).neg(), y)
     if fm.d % 2 == 1:
         q = q.neg()
-    return q == p
+    for s in range(fm.d + 1):
+        for t in range(fm.n + fm.d + 1):
+            if q.coeff(s, t) != p.coeff(s, t):
+                return s, t, int(q.coeff(s, t))
+    return None
+
+
+def _ds_witness(fm: FMatrix) -> str | None:
+    """The witness check_dehn_sommerville must give, from the oracle."""
+    diff = _ds_by_substitution(fm)
+    if diff is None:
+        return None
+    s, t, reflected = diff
+    return f"f[{s}][{t}]={fm.entry(s, t)} != reflected sum {reflected}"
 
 
 def _transform_by_expansion(p: BiPoly, n: int, r: int, direction: str) -> BiPoly:
@@ -137,7 +153,8 @@ def test_reflection_routes_agree_on_arbitrary_input():
         )
         fm = FMatrix(d, n, rows)
         report = check_dehn_sommerville(fm)
-        assert report.holds == (report.witness is None) == _ds_by_substitution(fm)
+        assert report.holds == (report.witness is None)
+        assert report.witness == _ds_witness(fm)
 
 
 def test_reflection_routes_agree_on_level_grid_and_corruptions():
@@ -148,7 +165,7 @@ def test_reflection_routes_agree_on_level_grid_and_corruptions():
         for n in range(r, r + 5):
             for s in range(5):
                 matrices.append(f_matrix(gen_random(n, r, seed=1000 + 97 * r + 13 * n + s)))
-    assert all(_ds_by_substitution(fm) for fm in matrices)
+    assert all(_ds_by_substitution(fm) is None for fm in matrices)
     base = f_matrix(gen_cyclic(4, 2))
     corrupted = []
     for s in range(base.d + 1):
@@ -156,9 +173,9 @@ def test_reflection_routes_agree_on_level_grid_and_corruptions():
             rows = [list(row) for row in base.rows]
             rows[s][t] += 1
             corrupted.append(FMatrix(base.d, base.n, tuple(tuple(row) for row in rows)))
-    assert any(not _ds_by_substitution(fm) for fm in corrupted)
+    assert any(_ds_by_substitution(fm) is not None for fm in corrupted)
     for fm in matrices + corrupted:
-        assert check_dehn_sommerville(fm).holds == _ds_by_substitution(fm)
+        assert check_dehn_sommerville(fm).witness == _ds_witness(fm)
 
 
 def test_reflection_reports_every_corruption_of_top_row():
@@ -172,6 +189,27 @@ def test_reflection_reports_every_corruption_of_top_row():
             rows[d][t] += step
             report = check_dehn_sommerville(FMatrix(base.d, base.n, tuple(tuple(row) for row in rows)))
             assert not report.holds and report.witness, (t, step)
+
+
+def test_scatter_matches_polynomial_expansion():
+    # the kernel of every count transform against polynomial arithmetic:
+    # each term (c, a, b, p, q) is c x^a y^b (x+y)^p (1+x)^q, added onto
+    # whatever the grid already holds
+    rng = random.Random(23)
+    x_plus_y = BiPoly.var_x().add(BiPoly.var_y())
+    x_plus_1 = BiPoly.var_x().add(BiPoly.const(1))
+    for _ in range(60):
+        start = [[rng.randint(-5, 5) for _ in range(10)] for _ in range(12)]
+        want = BiPoly({(i, j): c for i, row in enumerate(start) for j, c in enumerate(row)})
+        terms = [
+            (rng.randint(-9, 9), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4), rng.randint(0, 4))
+            for _ in range(rng.randint(1, 4))
+        ]
+        for c, a, b, p, q in terms:
+            want = want.add(BiPoly.monomial(a, b, c).mul(x_plus_y.pow(p)).mul(x_plus_1.pow(q)))
+        grid = scatter(start, terms)
+        assert grid is start
+        assert BiPoly({(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row)}) == want
 
 
 def test_transform_triangle_forward():

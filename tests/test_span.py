@@ -110,10 +110,15 @@ def test_span_report_serialization():
 
 
 def test_f_affine_span_reaches_dimension():
+    # both ranks come from the same sampled pairs, and the transform from
+    # g to face counts is injective, so they pick the same basis
     for mode, want in (("general", 4), ("pointed", 2)):
         rep = f_affine_span_rank(6, 3, mode, samples=want + 4, seed=1)
         assert rep.achieved_rank == want
         assert rep.full_rank
+        rg = g_span_rank(6, 3, mode, samples=want + 4, seed=1)
+        assert rep.achieved_rank == rg.achieved_rank
+        assert rep.basis_seeds == rg.basis_seeds
 
 
 def test_f_affine_single_sample():
