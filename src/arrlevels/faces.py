@@ -32,7 +32,12 @@ the counts.
 The f-matrices of the minors V/i and V\\i need no enumeration of their
 own: their faces are V's faces with X_i = 0, and V's faces with X_i
 dropped.  minor_f_matrices counts all n of them in one pass over V's
-cached signatures.
+signatures.
+
+Memory is bounded by two caches of different size.  Face lists (2.2 MiB
+for n = 12, r = 5) are kept for the last 2 configurations: the two a
+comparison reads.  Count matrices, at most (n+1) x (n+1) integers, are
+kept for the last 64.
 """
 
 from __future__ import annotations
@@ -46,8 +51,10 @@ from .config import VectorConfig, gale_dual, integer_columns
 
 SignVector = tuple[int, ...]
 
-# Entries per configuration-keyed cache, so long sweeps run in bounded memory
+# Configurations cached: count matrices are small, so the last 64; face
+# lists run to megabytes, so only the last 2, the two a comparison reads
 _CACHE_SIZE = 64
+_PATTERN_CACHE_SIZE = 2
 
 
 def pattern_to_string(p: SignVector) -> str:
@@ -58,7 +65,7 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_PATTERN_CACHE_SIZE)
 def _pattern_tuple(v: VectorConfig) -> tuple[SignVector, ...]:
     icols = integer_columns(v)
     n, d = v.n, v.d

@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import poly2
 from .config import VectorConfig
 from .errors import DimensionError, InconsistentInputError
 from .exactnum import _Record
 from .faces import FMatrix, f_matrix
+
+if TYPE_CHECKING:
+    from . import poly2
 
 
 class RelationReport(_Record):
@@ -152,6 +154,8 @@ def f_fstar_transform(p: poly2.BiPoly, n: int, r: int, direction: str) -> poly2.
     sign = (-1)^r, resp. (-1)^(n-r).  The input coefficients must be
     integers, and so are the output's.
     """
+    from . import poly2
+
     if direction == "f_to_fstar":
         sign = (-1) ** r
         max_x = r - 1

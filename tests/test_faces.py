@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrlevels import faces
-from arrlevels.config import gale_dual, gen_cocyclic, gen_cyclic, gen_random, new_config
+from arrlevels.config import gale_dual, gen_cocyclic, gen_cyclic, gen_random, neighborliness_degree, new_config
 from arrlevels.errors import BudgetExhaustedError, InconsistentInputError
+from arrlevels.gmatrix import check_contraction_deletion
 from arrlevels.faces import (
     FMatrix,
     dependency_patterns,
@@ -26,6 +27,7 @@ from arrlevels.faces import (
     pattern_to_string,
     patterns_to_json,
 )
+from arrlevels.relations import check_antipodal, check_dehn_sommerville, check_totals, f_fstar_transform
 
 
 TRIANGLE = new_config(2, 3, [(1, 0), (0, 1), (1, 1)])
@@ -177,8 +179,40 @@ def test_count_caches_stay_bounded():
     assert len(configs) == 70
     for v in configs:
         fstar_matrix(v)
-    for cache in (f_matrix, fstar_matrix, faces._pattern_tuple):
+    for cache in (f_matrix, fstar_matrix):
         assert cache.cache_info().currsize <= 64
+    # face lists only for the pair a comparison reads
+    assert faces._pattern_tuple.cache_info().currsize <= 2
+
+
+def _identity_checks(v, w):
+    # the per-pair sequence of perfbench's identity-check op, without the span
+    held = []
+    for c in (v, w):
+        held += [check_totals(c).holds, check_antipodal(c).holds, check_dehn_sommerville(c).holds]
+        p = f_polynomial(f_matrix(c))
+        fwd = f_fstar_transform(p, c.n, c.r, "f_to_fstar")
+        held += [fwd == fstar_polynomial(fstar_matrix(c)), f_fstar_transform(fwd, c.n, c.r, "fstar_to_f") == p]
+    held += [check_contraction_deletion(v, w, mode).holds for mode in ("contract", "delete")]
+    assert all(held)
+
+
+@pytest.mark.parametrize(
+    "calls, enumerations",
+    [
+        (_identity_checks, 2),
+        (lambda v, w: (f_matrix(v), dissection_patterns(v), neighborliness_degree(v)), 1),
+        (lambda v, w: (fstar_matrix(v), dependency_patterns(v), farkas_complement_oracle(v)), 2),
+    ],
+    ids=["identity-checks", "f-then-patterns", "fstar-dual-farkas"],
+)
+def test_each_configuration_is_enumerated_once(calls, enumerations):
+    # a computed enumeration is a miss of the face-list cache
+    v, w = gen_random(7, 3, 2101), gen_random(7, 3, 2102)
+    for cache in (f_matrix, fstar_matrix, faces._pattern_tuple):
+        cache.cache_clear()
+    calls(v, w)
+    assert faces._pattern_tuple.cache_info().misses == enumerations
 
 
 def test_vertex_count_is_two_binom():
