@@ -203,30 +203,29 @@ def _report(relation: str, holds: bool, witness: str) -> dict:
 
 
 def _duality_reports(v: VectorConfig) -> list[dict]:
-    from .faces import (
-        dependency_patterns,
-        f_matrix,
-        f_polynomial,
-        farkas_complement_oracle,
-        fstar_polynomial,
-        pattern_to_string,
-    )
-    from .relations import f_fstar_transform
+    from .faces import dependency_patterns, f_matrix, farkas_complement_oracle, pattern_to_string
+    from .relations import exchange
 
     dep = frozenset(dependency_patterns(v))
     far = frozenset(farkas_complement_oracle(v))
     bad = min((pattern_to_string(p) for p in dep ^ far), default=None)
-    p = f_polynomial(f_matrix(v))
-    forward = f_fstar_transform(p, v.n, v.r, "f_to_fstar")
-    back = f_fstar_transform(forward, v.n, v.r, "fstar_to_f")
+    # f -> f* and back on integer grids indexed [x-degree][y-degree]; f*'s
+    # row s sits at x-degree n-s, and f's rows past d are zero
+    n, f = v.n, f_matrix(v).rows
+    forward = exchange(f, n, (-1) ** v.r)
+    back = exchange(forward, n, (-1) ** (n - v.r))
     return [
         _report("dependency-oracle-agreement", dep == far, f"pattern {bad} found by one oracle only"),
         _report(
             "transform-matches-dual-count",
-            forward.terms == fstar_polynomial(_gale_histogram(v)).terms,
+            forward == [list(row) for row in reversed(_gale_histogram(v).rows)],
             "transformed polynomial differs from enumerated one",
         ),
-        _report("transform-round-trip", back.terms == p.terms, "f -> f* -> f is not the identity"),
+        _report(
+            "transform-round-trip",
+            back == [list(row) for row in f] + [[0] * (n + 1) for _ in range(n - v.d)],
+            "f -> f* -> f is not the identity",
+        ),
     ]
 
 

@@ -197,7 +197,8 @@ def gen_random(n: int, r: int, seed: int, pointed: bool = False) -> VectorConfig
         raise DimensionError(f"need n >= r >= 1, got r={r}, n={n}")
     rng = random.Random(seed)
     box = 100 * n
-    for _ in range(1000):
+    attempts = 1000
+    for _ in range(attempts):
         cols = []
         for _ in range(n):
             if pointed:
@@ -207,9 +208,12 @@ def gen_random(n: int, r: int, seed: int, pointed: bool = False) -> VectorConfig
             cols.append(col)
         try:
             return new_config(r, n, cols)
-        except GeneralPositionError:
-            continue
-    raise BudgetExhaustedError("could not sample a general-position configuration in 1000 attempts")
+        except GeneralPositionError as exc:
+            last = exc
+    raise BudgetExhaustedError(
+        f"could not sample a general-position configuration in {attempts} attempts;"
+        f" in the last, columns {list(last.subset)} were linearly dependent"
+    )
 
 
 def gale_dual(v: VectorConfig) -> VectorConfig:
@@ -320,10 +324,14 @@ def coneighborliness_degree(v: VectorConfig) -> int:
 
 
 def is_neighborly(v: VectorConfig) -> bool:
+    """Pointed, with every subset of size <= (r-1)//2 extremal.  Library
+    API: the rigidity acceptance criterion (criterion 8) rests on it."""
     return neighborliness_degree(v) >= (v.r - 1) // 2
 
 
 def is_coneighborly(v: VectorConfig) -> bool:
+    """No face at any level t <= (n-r-1)//2.  Library API: the rigidity
+    acceptance criterion (criterion 8) rests on it."""
     return coneighborliness_degree(v) >= (v.n - v.r - 1) // 2
 
 

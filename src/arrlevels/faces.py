@@ -34,8 +34,9 @@ own: their faces are V's faces with X_i = 0, and V's faces with X_i
 dropped.  minor_f_matrices counts all n of them in one pass over V's
 signatures.
 
-Memory is bounded by two caches of different size.  Face lists (2.2 MiB
-for n = 12, r = 5) are kept for the last 2 configurations: the two a
+Memory is bounded by caches of two sizes.  Face lists (2.2 MiB for
+n = 12, r = 5), and the per-coordinate counts that minor_f_matrices
+groups them into, are kept for the last 2 configurations: the two a
 comparison reads.  Count matrices, at most (n+1) x (n+1) integers, are
 kept for the last 64.
 """
@@ -52,7 +53,8 @@ from .config import VectorConfig, gale_dual, integer_columns
 SignVector = tuple[int, ...]
 
 # Configurations cached: count matrices are small, so the last 64; face
-# lists run to megabytes, so only the last 2, the two a comparison reads
+# lists run to megabytes, so they and their per-coordinate counts are kept
+# only for the last 2, the two a comparison reads
 _CACHE_SIZE = 64
 _PATTERN_CACHE_SIZE = 2
 
@@ -195,6 +197,28 @@ def f_matrix(v: VectorConfig) -> FMatrix:
     return _histogram_f(dissection_patterns(v), v.d, v.n)
 
 
+@lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _coordinate_counts(v: VectorConfig):
+    """V's faces counted by (s, t) in total (full) and, per coordinate i,
+    with X_i = 0 (zero[i]) and X_i < 0 (neg[i]); row d+1 stays zero.
+    Cached for the 2 configurations of a pair, whose contraction and
+    deletion checks both read them.  Callers must not modify the lists.
+    """
+    n, d = v.n, v.d
+    full = [[0] * (n + 1) for _ in range(d + 2)]
+    zero = [[[0] * (n + 1) for _ in range(d + 2)] for _ in range(n)]
+    neg = [[[0] * (n + 1) for _ in range(d + 2)] for _ in range(n)]
+    cells: dict[tuple[int, int], list[SignVector]] = {}
+    for p in dissection_patterns(v):
+        cells.setdefault((p.count(0), p.count(-1)), []).append(p)
+    for (s, t), cell in cells.items():
+        full[s][t] = len(cell)
+        for i, signs in enumerate(zip(*cell)):
+            zero[i][s][t] = signs.count(0)
+            neg[i][s][t] = signs.count(-1)
+    return full, zero, neg
+
+
 def minor_f_matrices(v: VectorConfig, mode: str) -> list[FMatrix]:
     """f(V/i) ("contract") or f(V\\i) ("delete") for i = 1..n, from V's faces.
 
@@ -207,17 +231,7 @@ def minor_f_matrices(v: VectorConfig, mode: str) -> list[FMatrix]:
     Contraction needs r >= 2 and deletion n > r; the caller checks.
     """
     n, d = v.n, v.d
-    full = [[0] * (n + 1) for _ in range(d + 2)]  # row d+1 stays zero
-    zero = [[[0] * (n + 1) for _ in range(d + 2)] for _ in range(n)]
-    neg = [[[0] * (n + 1) for _ in range(d + 2)] for _ in range(n)]
-    cells: dict[tuple[int, int], list[SignVector]] = {}
-    for p in dissection_patterns(v):
-        cells.setdefault((p.count(0), p.count(-1)), []).append(p)
-    for (s, t), cell in cells.items():
-        full[s][t] = len(cell)
-        for i, signs in enumerate(zip(*cell)):
-            zero[i][s][t] = signs.count(0)
-            neg[i][s][t] = signs.count(-1)
+    full, zero, neg = _coordinate_counts(v)
     if mode == "contract":
         return [FMatrix(d - 1, n - 1, tuple(tuple(row[:n]) for row in z[1 : d + 1])) for z in zero]
     out = []
@@ -257,23 +271,20 @@ def fstar_matrix(v: VectorConfig) -> FStarMatrix:
 
 
 def f_polynomial(fm: FMatrix):
-    """f(x,y) = sum f_{s,t} x^s y^t as a BiPoly."""
-    from . import poly2
+    """f(x,y) = sum f_{s,t} x^s y^t as a BiPoly with the grid's int
+    coefficients."""
+    from .poly2 import BiPoly
 
-    return poly2.from_matrix(fm.rows)
+    return BiPoly({(s, t): c for s, row in enumerate(fm.rows) for t, c in enumerate(row) if c})
 
 
 def fstar_polynomial(fsm: FStarMatrix):
-    """f*(x,y) = sum f*_{s,t} x^(n-s) y^t as a BiPoly."""
-    from . import poly2
+    """f*(x,y) = sum f*_{s,t} x^(n-s) y^t as a BiPoly with the grid's int
+    coefficients."""
+    from .poly2 import BiPoly
 
-    terms = {}
-    for s in range(fsm.n + 1):
-        for t in range(fsm.n + 1):
-            c = fsm.entry(s, t)
-            if c:
-                terms[(fsm.n - s, t)] = poly2.rat(c)
-    return poly2.BiPoly(terms)
+    n = fsm.n
+    return BiPoly({(n - s, t): c for s, row in enumerate(fsm.rows) for t, c in enumerate(row) if c})
 
 
 def patterns_to_json(patterns: tuple[SignVector, ...]) -> list[str]:

@@ -26,22 +26,15 @@ from .errors import (
     GenericityError,
     InconsistentInputError,
 )
-from .exactnum import (
-    Mat,
-    Rat,
+from .exactnum import Mat, Rat, _Record, _row_echelon, cross_product, integer_rescaling, kernel_basis, rat
+from .unipoly import (
     UniPoly,
-    _Record,
-    _row_echelon,
     _sturm_chain,
     _variations,
     bisect_root_interval,
     count_distinct_roots,
-    cross_product,
-    integer_rescaling,
     isolate_roots,
-    kernel_basis,
     poly_gcd,
-    rat,
 )
 
 if TYPE_CHECKING:
@@ -419,15 +412,19 @@ def perturb(
         return w
     rng = random.Random(seed)
     denom = 10**6
-    for _ in range(1000):
+    attempts = 1000
+    for _ in range(attempts):
         cols = []
         for j in range(w.n):
             cols.append([x + mag * Fraction(rng.randint(-denom, denom), denom) for x in w.mat.col(j)])
         try:
             return new_config(w.r, w.n, cols)
-        except GeneralPositionError:
-            continue
-    raise BudgetExhaustedError("could not restore general position while perturbing")
+        except GeneralPositionError as exc:
+            last = exc
+    raise BudgetExhaustedError(
+        f"could not restore general position while perturbing in {attempts} attempts;"
+        f" in the last, columns {list(last.subset)} were linearly dependent"
+    )
 
 
 def _affine_coords(points: list[tuple[Rat, ...]], target: list[Rat]) -> list[Rat] | None:
@@ -477,6 +474,9 @@ def mutation_rich_path(n: int, r: int, seed: int) -> list[VectorConfig]:
     event with the predicted j, and a full sweep makes k take every value.
     The cluster radius is validated a posteriori and halved on failure.
     All output first coordinates equal 1, so every configuration is pointed.
+    Library API: the mutation-coverage acceptance criterion (criterion 9)
+    walks its output.  When no attempt covers every type, the error names
+    the attempts made and why the last one failed.
     """
     if r < 1 or n < r:
         raise DimensionError(f"need n >= r >= 1, got r={r}, n={n}")
@@ -506,8 +506,10 @@ def mutation_rich_path(n: int, r: int, seed: int) -> list[VectorConfig]:
     rng = random.Random(seed)
     eps = Fraction(1, 4)
     jitter_denom = 10**9
+    attempts = 0
     for _ in range(12):
         for _ in range(25):
+            attempts += 1
             cluster = []
             for _ in range(n - d):
                 delta = [Fraction(rng.randint(-999, 999), 1000) for _ in range(d)]
@@ -515,10 +517,12 @@ def mutation_rich_path(n: int, r: int, seed: int) -> list[VectorConfig]:
             stationary = anchors[: d - 1] + cluster
             try:
                 new_config(r, n - 1, _lift(stationary))
-            except GeneralPositionError:
+            except GeneralPositionError as exc:
+                last = f"stationary columns {list(exc.subset)} were linearly dependent"
                 continue
             plan = _plan_sweeps(sigmas, line_feet, anchors, cluster, normal)
             if plan is None:
+                last = "a sweep line crossed a cluster hyperplane outside its region"
                 break
             waypoints = []
             ok = True
@@ -534,14 +538,16 @@ def mutation_rich_path(n: int, r: int, seed: int) -> list[VectorConfig]:
             for pt in waypoints:
                 try:
                     configs.append(new_config(r, n, _lift(stationary + [pt])))
-                except GeneralPositionError:
+                except GeneralPositionError as exc:
+                    last = f"waypoint columns {list(exc.subset)} were linearly dependent"
                     ok = False
                     break
             if not ok:
                 continue
             try:
                 outputs, seen = _run_segments(configs)
-            except GenericityError:
+            except GenericityError as exc:
+                last = f"motion was not generic: {exc}"
                 continue
             if required <= seen:
                 for cfg in outputs:
@@ -551,9 +557,12 @@ def mutation_rich_path(n: int, r: int, seed: int) -> list[VectorConfig]:
                                 f"sweep output is not pointed: column {i} has first coordinate {x}"
                             )
                 return outputs
+            last = f"types {sorted(required - seen)} were still missing"
             break
         eps /= 2
-    raise BudgetExhaustedError("sweep construction failed to cover all types")
+    raise BudgetExhaustedError(
+        f"sweep construction failed to cover all types in {attempts} attempts; in the last, {last}"
+    )
 
 
 def _plan_sweeps(

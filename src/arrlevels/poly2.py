@@ -1,11 +1,15 @@
-"""Bivariate polynomials with exact rational coefficients.
+"""Bivariate polynomials with exact coefficients.
 
-A BiPoly is a sparse term map (deg_x, deg_y) -> coefficient.  The rest
-of the library reads count matrices into BiPolys (from_matrix) and works on
-their coefficients directly; the ring operations and full substitution
-p(sx, sy) expand identities polynomially, which the tests use as a second
-route.  Total degrees stay small (around n <= 12), so naive expansion is
-fine.
+A BiPoly is a sparse term map (deg_x, deg_y) -> coefficient, an int or a
+Fraction; equal values compare and hash alike, so the two mix freely.
+Count polynomials (faces.f_polynomial, faces.fstar_polynomial and the
+output of relations.f_fstar_transform) carry the grids' ints.  No count
+path uses this module: the library computes on integer grids with
+relations.scatter, whose unit expansions are cached.  The ring operations
+and full substitution p(sx, sy) expand identities polynomially, which the
+tests use as a second route; from_matrix is reached only from the tests
+and the benchmark's tracer.  Total degrees stay small (around n <= 12),
+so naive expansion is fine.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ matrices can be fed in deliberately as negative controls.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .config import VectorConfig
@@ -121,16 +121,29 @@ def scatter(grid: list[list[int]], terms: Iterable[tuple[int, int, int, int, int
     """Add sum c x^a y^b (x+y)^p (1+x)^q over the terms (c, a, b, p, q) to
     the integer grid indexed [x-degree][y-degree], in place, and return it.
 
-    x^(p-i) y^i from (x+y)^p and x^m from (1+x)^q add c C(p,i) C(q,m) at
-    (a+p-i+m, b+i).  Every count transform of the library is such a sum:
-    f <-> f*, the reflection, and g -> delta f and delta f*.
+    Each term adds c times the unit expansion of (x+y)^p (1+x)^q, shifted
+    by (a, b); the expansion is built once per (p, q) and cached.  Every
+    count transform of the library is such a sum: f <-> f*, the
+    reflection, g -> delta f and delta f*, and the running expansion of
+    the g inversion.  Coefficients stay ints.
     """
     for c, a, b, p, q in terms:
-        for i in range(p + 1):
-            ci, row, col = c * math.comb(p, i), a + p - i, b + i
-            for m in range(q + 1):
-                grid[row + m][col] += ci * math.comb(q, m)
+        for dx, dy, k in _unit_expansion(p, q):
+            grid[a + dx][b + dy] += c * k
     return grid
+
+
+@lru_cache(maxsize=256)
+def _unit_expansion(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
+    """The terms (x-degree, y-degree, coefficient) of (x+y)^p (1+x)^q:
+    x^(p-i) y^i from (x+y)^p and x^m from (1+x)^q give C(p,i) C(q,m) at
+    (p-i+m, i).  Each is nonzero and each degree pair occurs once.  The
+    transforms of a size-n configuration use p, q <= n, so the 256 entries
+    hold every pair that shapes with n <= 15 need.
+    """
+    return tuple(
+        (p - i + m, i, math.comb(p, i) * math.comb(q, m)) for i in range(p + 1) for m in range(q + 1)
+    )
 
 
 def exchange(rows: Sequence[Sequence[int]], n: int, sign: int) -> list[list[int]]:
@@ -152,7 +165,7 @@ def f_fstar_transform(p: poly2.BiPoly, n: int, r: int, direction: str) -> poly2.
     direction "f_to_fstar" maps the f-polynomial to the f*-polynomial;
     "fstar_to_f" is the inverse.  Both compute exchange(p, n, sign) with
     sign = (-1)^r, resp. (-1)^(n-r).  The input coefficients must be
-    integers, and so are the output's.
+    integral (ints, or Fractions with denominator 1); the output's are ints.
     """
     from . import poly2
 
@@ -172,4 +185,4 @@ def f_fstar_transform(p: poly2.BiPoly, n: int, r: int, direction: str) -> poly2.
             raise InconsistentInputError(f"coefficient {c} of x^{a} y^{b} is not an integer")
         rows[a][b] = int(c)
     grid = exchange(rows, n, sign)
-    return poly2.BiPoly({(i, j): Fraction(grid[i][j]) for j in range(n + 1) for i in range(n - j + 1)})
+    return poly2.BiPoly({(i, j): grid[i][j] for j in range(n + 1) for i in range(n - j + 1)})

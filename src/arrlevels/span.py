@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .config import VectorConfig, gen_cocyclic, gen_cyclic, gen_random, moment_point, new_config
@@ -141,12 +142,18 @@ def _pointed_anchors(n: int, r: int):
     return anchors
 
 
+@lru_cache(maxsize=16)
+def _anchor_pair(n: int, r: int) -> tuple[VectorConfig, VectorConfig]:
+    """The general-mode anchor pair, built once per shape."""
+    return gen_cocyclic(n, r), gen_cyclic(n, r)
+
+
 def _pair_pool(n: int, r: int, mode: str, samples: int, seed: int):
     """The first `samples` pairs of the sampling pool, with labels."""
     rng = random.Random(seed)
     out = []
     if mode == "general":
-        out.append((gen_cocyclic(n, r), gen_cyclic(n, r), f"cocyclic({n},{r}) -> cyclic({n},{r})"))
+        out.append((*_anchor_pair(n, r), f"cocyclic({n},{r}) -> cyclic({n},{r})"))
         while len(out) < samples:
             s1 = rng.randrange(2**31)
             s2 = rng.randrange(2**31)
@@ -198,7 +205,8 @@ def f_affine_span_rank(n: int, r: int, mode: str, samples: int, seed: int) -> Sp
 
     The increment-to-face-count transform is injective, so the rank and
     the basis labels equal g_span_rank's on the same arguments.  It is
-    library API: a second route to the paper's span dimension.
+    library API: a second route to the paper's span dimension, which the
+    span-dimension acceptance criterion (criterion 7) checks.
     """
     dim = theoretical_dim(n, r, mode)
     if r < 1 or n <= r:

@@ -15,9 +15,8 @@ import pytest
 
 from arrlevels import cli, motion, relations
 from arrlevels.config import config_from_json
-from arrlevels.faces import f_matrix
+from arrlevels.faces import FStarMatrix, f_matrix
 from arrlevels.gmatrix import GMatrix
-from arrlevels.poly2 import BiPoly
 from arrlevels.relations import RelationReport
 
 
@@ -398,11 +397,12 @@ def test_exponent_in_params_is_usage_error(tmp_path):
 # -- the reports of a failing verify, byte for byte ----------------------------
 
 
-_TRANSFORM = relations.f_fstar_transform
+_EXCHANGE = relations.exchange
 
 
-def _transform_without_inverse(p, n, r, direction):
-    return _TRANSFORM(p, n, r, "f_to_fstar")
+def _exchange_without_inverse(rows, n, sign):
+    # c53 has r = 3: both directions get the f -> f* sign (-1)^3
+    return _EXCHANGE(rows, n, -1)
 
 
 def _report(relation, witness):
@@ -442,12 +442,12 @@ FAILING_REPORTS = {
     ),
     "duality-match": (
         ["verify", "--relation", "duality", "c53.json"],
-        ("faces", "fstar_polynomial", lambda fsm: BiPoly()),
+        ("faces", "fstar_from_patterns", lambda ps, r, n: FStarMatrix(r, n, ((0,) * (n + 1),) * (n + 1))),
         _duality(None, "transformed polynomial differs from enumerated one", None),
     ),
     "duality-round-trip": (
         ["verify", "--relation", "duality", "c53.json"],
-        ("relations", "f_fstar_transform", _transform_without_inverse),
+        ("relations", "exchange", _exchange_without_inverse),
         _duality(None, None, "f -> f* -> f is not the identity"),
     ),
 }

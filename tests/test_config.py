@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrlevels import config
 from arrlevels.config import (
     config_from_json,
     config_to_json,
@@ -31,6 +32,7 @@ from arrlevels.config import (
     transform,
 )
 from arrlevels.errors import (
+    BudgetExhaustedError,
     DimensionError,
     FileFormatError,
     GeneralPositionError,
@@ -119,6 +121,18 @@ def test_gen_random_deterministic():
     a = gen_random(4, 2, seed=7)
     b = gen_random(4, 2, seed=7)
     assert a.mat.entries == b.mat.entries
+
+
+def test_gen_random_names_its_attempts_and_the_last_dependent_subset(monkeypatch):
+    # every sample gets its first column twice, so every attempt fails
+    real = config.new_config
+    monkeypatch.setattr(config, "new_config", lambda r, n, cols: real(r, n, [cols[0], *cols[:-1]]))
+    with pytest.raises(BudgetExhaustedError) as info:
+        gen_random(5, 3, seed=1)
+    assert str(info.value) == (
+        "could not sample a general-position configuration in 1000 attempts;"
+        " in the last, columns [1, 2, 3] were linearly dependent"
+    )
 
 
 def test_gen_random_pointed_lift():

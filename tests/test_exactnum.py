@@ -8,22 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlevels import exactnum
+from arrlevels import unipoly
 from arrlevels.errors import BoundaryRootError, DegeneratePolynomialError, DimensionError
-from arrlevels.exactnum import (
-    Mat,
+from arrlevels.exactnum import Mat, _int_det, cross_product, det, kernel_basis, rank, rat, rat_str
+from arrlevels.unipoly import (
     UniPoly,
-    _int_det,
     bisect_root_interval,
     count_distinct_roots,
-    cross_product,
-    det,
     isolate_roots,
-    kernel_basis,
     poly_gcd,
-    rank,
-    rat,
-    rat_str,
     squarefree_part,
 )
 
@@ -318,8 +311,8 @@ def test_isolation_builds_one_chain_for_p_and_one_for_its_gcd(monkeypatch):
     for k in range(1, 7):
         p = p.mul(UniPoly.make([-k, 7])).mul(UniPoly.make([-k, 7]))
     built = []
-    sturm_chain = exactnum._sturm_chain
-    monkeypatch.setattr(exactnum, "_sturm_chain", lambda q: built.append(q) or sturm_chain(q))
+    sturm_chain = unipoly._sturm_chain
+    monkeypatch.setattr(unipoly, "_sturm_chain", lambda q: built.append(q) or sturm_chain(q))
     found = isolate_roots(p, Fraction(0), Fraction(1))
     assert [simple for _, simple in found] == [False] * 6
     assert all(a < Fraction(k, 7) < b for ((a, b), _), k in zip(found, range(1, 7)))

@@ -198,21 +198,24 @@ def _identity_checks(v, w):
 
 
 @pytest.mark.parametrize(
-    "calls, enumerations",
+    "calls, enumerations, groupings",
     [
-        (_identity_checks, 2),
-        (lambda v, w: (f_matrix(v), dissection_patterns(v), neighborliness_degree(v)), 1),
-        (lambda v, w: (fstar_matrix(v), dependency_patterns(v), farkas_complement_oracle(v)), 2),
+        (_identity_checks, 2, 2),
+        (lambda v, w: (f_matrix(v), dissection_patterns(v), neighborliness_degree(v)), 1, 0),
+        (lambda v, w: (fstar_matrix(v), dependency_patterns(v), farkas_complement_oracle(v)), 2, 0),
     ],
     ids=["identity-checks", "f-then-patterns", "fstar-dual-farkas"],
 )
-def test_each_configuration_is_enumerated_once(calls, enumerations):
-    # a computed enumeration is a miss of the face-list cache
+def test_each_configuration_is_enumerated_once(calls, enumerations, groupings):
+    # a computed enumeration is a miss of the face-list cache, and grouping
+    # a configuration's faces for its minors a miss of the count cache that
+    # the contraction and deletion checks share
     v, w = gen_random(7, 3, 2101), gen_random(7, 3, 2102)
-    for cache in (f_matrix, fstar_matrix, faces._pattern_tuple):
+    for cache in (f_matrix, fstar_matrix, faces._pattern_tuple, faces._coordinate_counts):
         cache.cache_clear()
     calls(v, w)
     assert faces._pattern_tuple.cache_info().misses == enumerations
+    assert faces._coordinate_counts.cache_info().misses == groupings
 
 
 def test_vertex_count_is_two_binom():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrlevels import gmatrix
 from arrlevels.config import gale_dual, gen_cocyclic, gen_cyclic, gen_random
@@ -12,6 +14,7 @@ from arrlevels.errors import InconsistentInputError
 from arrlevels.faces import FMatrix, dependency_patterns, f_matrix, fstar_from_patterns
 from arrlevels.gmatrix import (
     GMatrix,
+    SmallGMatrix,
     check_contraction_deletion,
     delta_f_from_g,
     delta_fstar_from_g,
@@ -39,8 +42,6 @@ def _random_skew(rng: random.Random, r: int, n: int) -> GMatrix:
         [rng.randint(-4, 4) for _ in range((n - r - 1) // 2 + 1)]
         for _ in range((r - 1) // 2 + 1)
     ]
-    from arrlevels.gmatrix import SmallGMatrix
-
     return full_from_small(SmallGMatrix(r, n, tuple(tuple(row) for row in small)))
 
 
@@ -182,6 +183,33 @@ def test_inversion_round_trip_random_skew():
         g = _random_skew(rng, 3, 6)
         shifted = _add_grid(base, delta_f_from_g(g))
         assert g_from_fmatrices(base, shifted).rows == g.rows
+
+
+@st.composite
+def _skew_and_base(draw):
+    """A skew g of a random shape 1 <= r < n <= 10 and an integer grid of
+    f-matrix shape; the inversion reads only differences, so any grid
+    serves as the base."""
+    n = draw(st.integers(2, 10))
+    r = draw(st.integers(1, n - 1))
+    entries = st.integers(-20, 20)
+    small = tuple(
+        tuple(draw(entries) for _ in range((n - r - 1) // 2 + 1)) for _ in range((r - 1) // 2 + 1)
+    )
+    base = tuple(tuple(draw(st.integers(0, 999)) for _ in range(n + 1)) for _ in range(r))
+    return full_from_small(SmallGMatrix(r, n, small)), FMatrix(r - 1, n, base)
+
+
+@settings(max_examples=200)
+@given(_skew_and_base())
+def test_inversion_round_trip_random_skew_every_shape(case):
+    g, base = case
+    delta = delta_f_from_g(g)
+    assert g_from_fmatrices(base, _add_grid(base, delta)).rows == g.rows
+    # the round trip alone cannot see a wrong term that both directions
+    # share above the y-degree being solved, so the forward transform is
+    # held to the polynomial expansion as well
+    assert [list(row) for row in delta] == _delta_f_by_expansion(g)[: g.r]
 
 
 def test_delta_fstar_matches_polynomial_expansion():

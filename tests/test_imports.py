@@ -75,6 +75,19 @@ def test_public_names_resolve_to_their_home_module(module):
         assert getattr(arrlevels, name) is getattr(home, name), name
 
 
+def test_exactnum_resolves_the_names_moved_to_unipoly():
+    # root isolation moved to unipoly; exactnum still resolves the names
+    # that callers look up there, and no other
+    from arrlevels import exactnum, unipoly
+
+    moved = ("isolate_roots", "count_distinct_roots", "bisect_root_interval", "squarefree_part", "poly_gcd")
+    for name in moved:
+        assert getattr(exactnum, name) is getattr(unipoly, name), name
+        assert name not in vars(exactnum), name
+    with pytest.raises(AttributeError, match="no attribute 'UniPoly'"):
+        exactnum.UniPoly  # noqa: B018
+
+
 def test_dir_lists_the_public_names():
     assert set(arrlevels.__all__) <= set(dir(arrlevels))
 
@@ -111,7 +124,7 @@ def test_package_import_loads_no_submodule_until_one_is_used():
         "print(json.dumps([before, loaded()]))"
     )
     assert before == []
-    assert after == [f"arrlevels.{m}" for m in ("config", "errors", "exactnum", "motion")]
+    assert after == [f"arrlevels.{m}" for m in ("config", "errors", "exactnum", "motion", "unipoly")]
 
 
 # -- what a CLI process loads -----------------------------------------------
@@ -119,8 +132,10 @@ def test_package_import_loads_no_submodule_until_one_is_used():
 BASE = {"config", "errors", "exactnum"}
 FACES = BASE | {"faces"}
 RELATIONS = FACES | {"relations"}
+# motion and the root isolation that only it uses
+MOTION = {"motion", "unipoly"}
 # every module but poly2, which only the polynomial f <-> f* route loads
-LIBRARY = RELATIONS | {"gmatrix", "motion", "span"}
+LIBRARY = RELATIONS | MOTION | {"gmatrix", "span"}
 
 # every command of perfbench's cli-session cycle, and its warm-up command
 LOADS = [
@@ -130,12 +145,12 @@ LOADS = [
     (["fstar", "r94.json"], RELATIONS),
     (["fstar", "c53.json", "--oracle", "both"], FACES),
     (["g", "--from", "co53.json", "--to", "cy53.json", "--via", "both"], LIBRARY - {"span"}),
-    (["motion", "--from", "co53.json", "--to", "cy53.json", "--trace"], BASE | {"motion"}),
+    (["motion", "--from", "co53.json", "--to", "cy53.json", "--trace"], BASE | MOTION),
     (["verify", "--relation", "ds", "c53.json"], RELATIONS),
-    (["verify", "--relation", "duality", "c53.json"], RELATIONS | {"poly2"}),
+    (["verify", "--relation", "duality", "c53.json"], RELATIONS),
     (["verify", "--relation", "totals", "c53.json"], RELATIONS),
-    (["verify", "--relation", "closed-form", "--n", "7", "--r", "3"], LIBRARY - {"motion", "span"}),
-    (["span", "--n", "7", "--r", "3", "--samples", "10", "--seed", "0"], LIBRARY - {"motion"}),
+    (["verify", "--relation", "closed-form", "--n", "7", "--r", "3"], LIBRARY - MOTION - {"span"}),
+    (["span", "--n", "7", "--r", "3", "--samples", "10", "--seed", "0"], LIBRARY - MOTION),
 ]
 
 # Runs one command in this interpreter and prints its exit code, the

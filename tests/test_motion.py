@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from arrlevels import motion
 from arrlevels.config import gen_cyclic, gen_random, integer_columns, is_pointed, new_config
-from arrlevels.errors import GeneralPositionError, GenericityError
+from arrlevels.errors import BudgetExhaustedError, GeneralPositionError, GenericityError
 from arrlevels.faces import f_matrix
 from arrlevels.exactnum import Mat, det
 from arrlevels.gmatrix import g_from_fmatrices, g_of_pair
@@ -178,6 +179,18 @@ def test_perturb_identity_and_determinism():
             assert abs(a.mat.entries[i][jj] - W3_BAD.mat.entries[i][jj]) <= bound
 
 
+def test_perturb_names_its_attempts_and_the_last_dependent_subset(monkeypatch):
+    # every perturbed configuration gets its first column twice
+    real = motion.new_config
+    monkeypatch.setattr(motion, "new_config", lambda r, n, cols: real(r, n, [cols[0], *cols[:-1]]))
+    with pytest.raises(BudgetExhaustedError) as info:
+        perturb(W3, seed=1)
+    assert str(info.value) == (
+        "could not restore general position while perturbing in 1000 attempts;"
+        " in the last, columns [1, 2] were linearly dependent"
+    )
+
+
 def test_perturb_restores_genericity():
     w = perturb(W3_BAD, seed=1)
     path = detect_mutations(V3, w)
@@ -194,6 +207,17 @@ def test_trace_json_shape():
         assert all(isinstance(x, str) for x in e["interval"])
         j, k = e["type"]
         assert 0 <= j <= 2 and 0 <= k <= 1
+
+
+def test_rich_path_names_its_attempts_and_the_types_still_missing(monkeypatch):
+    # segments that realise no event leave every required type missing
+    monkeypatch.setattr(motion, "_run_segments", lambda configs: (configs, set()))
+    with pytest.raises(BudgetExhaustedError) as info:
+        mutation_rich_path(6, 3, seed=0)
+    assert str(info.value) == (
+        "sweep construction failed to cover all types in 12 attempts;"
+        " in the last, types [(1, 0), (1, 1)] were still missing"
+    )
 
 
 def test_rich_path_small_case():

@@ -17,13 +17,14 @@ import pytest
 from arrlevels import faces
 from arrlevels.config import VectorConfig, gen_cocyclic, gen_cyclic, new_config
 from arrlevels.errors import DimensionError, InconsistentInputError
-from arrlevels.exactnum import Mat, UniPoly, _Record
+from arrlevels.exactnum import Mat, _Record
 from arrlevels.faces import FMatrix, FStarMatrix
 from arrlevels.gmatrix import GMatrix, SmallGMatrix
 from arrlevels.motion import MotionPath, MutationEvent
 from arrlevels.poly2 import BiPoly
 from arrlevels.relations import RelationReport
 from arrlevels.span import SpanReport
+from arrlevels.unipoly import UniPoly
 
 _EVENT = ((1, 2, 3), (Fraction(1, 4), Fraction(1, 2)), (1, 1), (1, -1))
 

@@ -194,15 +194,15 @@ def test_reflection_reports_every_corruption_of_top_row():
 def test_scatter_matches_polynomial_expansion():
     # the kernel of every count transform against polynomial arithmetic:
     # each term (c, a, b, p, q) is c x^a y^b (x+y)^p (1+x)^q, added onto
-    # whatever the grid already holds
+    # whatever the grid already holds; p and q run over 0..10
     rng = random.Random(23)
     x_plus_y = BiPoly.var_x().add(BiPoly.var_y())
     x_plus_1 = BiPoly.var_x().add(BiPoly.const(1))
     for _ in range(60):
-        start = [[rng.randint(-5, 5) for _ in range(10)] for _ in range(12)]
+        start = [[rng.randint(-5, 5) for _ in range(14)] for _ in range(24)]
         want = BiPoly({(i, j): c for i, row in enumerate(start) for j, c in enumerate(row)})
         terms = [
-            (rng.randint(-9, 9), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4), rng.randint(0, 4))
+            (rng.randint(-9, 9), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 10), rng.randint(0, 10))
             for _ in range(rng.randint(1, 4))
         ]
         for c, a, b, p, q in terms:
