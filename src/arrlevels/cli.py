@@ -376,10 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ArrlevelsError, ValueError) as exc:
+    except (_UsageError, ArrlevelsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,10 +23,10 @@ repeat the input's check.
 from __future__ import annotations
 
 import bisect
-import itertools
+import math
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ArrlevelsError,
@@ -187,6 +187,25 @@ def gen_cocyclic(n: int, r: int, params: Sequence[int | str | Fraction] | None =
     return new_config(r, n, signed)
 
 
+def _sample_config(
+    r: int, n: int, draw: Callable[[], Sequence[Sequence]], attempts: int, what: str
+) -> VectorConfig:
+    """new_config of the first draw() whose columns are in general position.
+
+    The one retry loop of the library: when every draw is dependent, the
+    error names the attempts made and the last dependent subset.
+    """
+    for _ in range(attempts):
+        try:
+            return new_config(r, n, draw())
+        except GeneralPositionError as exc:
+            last = exc
+    raise BudgetExhaustedError(
+        f"could not {what} in {attempts} attempts;"
+        f" in the last, columns {list(last.subset)} were linearly dependent"
+    )
+
+
 def gen_random(n: int, r: int, seed: int, pointed: bool = False) -> VectorConfig:
     """Seed-deterministic random configuration with small integer entries.
 
@@ -197,23 +216,13 @@ def gen_random(n: int, r: int, seed: int, pointed: bool = False) -> VectorConfig
         raise DimensionError(f"need n >= r >= 1, got r={r}, n={n}")
     rng = random.Random(seed)
     box = 100 * n
-    attempts = 1000
-    for _ in range(attempts):
-        cols = []
-        for _ in range(n):
-            if pointed:
-                col = [1] + [rng.randint(-box, box) for _ in range(r - 1)]
-            else:
-                col = [rng.randint(-box, box) for _ in range(r)]
-            cols.append(col)
-        try:
-            return new_config(r, n, cols)
-        except GeneralPositionError as exc:
-            last = exc
-    raise BudgetExhaustedError(
-        f"could not sample a general-position configuration in {attempts} attempts;"
-        f" in the last, columns {list(last.subset)} were linearly dependent"
-    )
+
+    def draw() -> list[list[int]]:
+        if pointed:
+            return [[1] + [rng.randint(-box, box) for _ in range(r - 1)] for _ in range(n)]
+        return [[rng.randint(-box, box) for _ in range(r)] for _ in range(n)]
+
+    return _sample_config(r, n, draw, 1000, "sample a general-position configuration")
 
 
 def gale_dual(v: VectorConfig) -> VectorConfig:
@@ -298,15 +307,19 @@ def is_pointed(v: VectorConfig) -> bool:
 
 
 def neighborliness_degree(v: VectorConfig) -> int:
-    """Largest j with every subset of size <= j extremal; -1 when not pointed."""
-    if not is_pointed(v):
-        return -1
-    degree = 0
-    for j in range(1, v.r):
-        if all(is_extremal(v, s) for s in itertools.combinations(range(1, v.n + 1), j)):
-            degree = j
-        else:
+    """Largest j with every subset of size <= j extremal; -1 when not pointed.
+
+    A j-subset is extremal iff it is the zero set of a level-0 face, so
+    this is the largest j with f[s][0] = C(n, s) for every s <= j.
+    """
+    from . import faces
+
+    f = faces.f_matrix(v)
+    degree = -1
+    for s in range(v.r):
+        if f.entry(s, 0) != math.comb(v.n, s):
             break
+        degree = s
     return degree
 
 

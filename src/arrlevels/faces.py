@@ -20,14 +20,14 @@ vertex.  Every face's closure contains a vertex, so expanding around all
 2*C(n, r-1) vertices and deduplicating yields the complete pattern set.
 All arithmetic is integer (columns are pre-scaled), so signatures are exact.
 
-The f-matrix histograms dissection patterns by (|F_0|, |F_-|).  The
-f*-matrix counts dependency patterns by (|F_+| + |F_-|, |F_-|); it is not
-enumerated but computed from the f-matrix rows by the exact f -> f*
-transform on integer grids (relations.exchange), since by Gale duality the
-face counts fix the dependency counts.  Dependency patterns are still
-enumerated on the Gale dual for callers that want the patterns themselves,
-and, together with the certificate oracle, as independent cross-checks of
-the counts.
+One histogram, counting patterns by (|F_0|, |F_-|), gives both count
+matrices: its first d+1 rows over dissection patterns are the f-matrix,
+and over dependency patterns, whose support is n - |F_0|, its rows
+reversed are the f*-matrix.  fstar_matrix does not enumerate: by Gale
+duality the face counts fix the dependency counts, so it transforms the
+f-matrix rows exactly on integer grids (relations.exchange).  Dependency
+patterns are still enumerated on the Gale dual for callers that want the
+patterns, and with the certificate oracle they cross-check the counts.
 
 The f-matrices of the minors V/i and V\\i need no enumeration of their
 own: their faces are V's faces with X_i = 0, and V's faces with X_i
@@ -183,18 +183,18 @@ class FStarMatrix(_Record):
         return "\n".join(",".join(str(x) for x in row) for row in self.rows) + "\n"
 
 
-def _histogram_f(patterns: tuple[SignVector, ...], d: int, n: int) -> FMatrix:
-    grid = [[0] * (n + 1) for _ in range(d + 1)]
+def _histogram(patterns: tuple[SignVector, ...], n: int) -> list[list[int]]:
+    """The (n+1) x (n+1) grid counting patterns by (zeros, negatives)."""
+    grid = [[0] * (n + 1) for _ in range(n + 1)]
     for p in patterns:
-        s = sum(1 for x in p if x == 0)
-        t = sum(1 for x in p if x < 0)
-        grid[s][t] += 1
-    return FMatrix(d, n, tuple(tuple(row) for row in grid))
+        grid[p.count(0)][p.count(-1)] += 1
+    return grid
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def f_matrix(v: VectorConfig) -> FMatrix:
-    return _histogram_f(dissection_patterns(v), v.d, v.n)
+    grid = _histogram(dissection_patterns(v), v.n)
+    return FMatrix(v.d, v.n, tuple(tuple(row) for row in grid[: v.r]))
 
 
 @lru_cache(maxsize=_PATTERN_CACHE_SIZE)
@@ -246,12 +246,10 @@ def minor_f_matrices(v: VectorConfig, mode: str) -> list[FMatrix]:
 
 
 def fstar_from_patterns(patterns: tuple[SignVector, ...], r: int, n: int) -> FStarMatrix:
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
-    for p in patterns:
-        t = sum(1 for x in p if x < 0)
-        s = t + sum(1 for x in p if x > 0)
-        grid[s][t] += 1
-    return FStarMatrix(r, n, tuple(tuple(row) for row in grid))
+    """Dependency counts of the given patterns: a pattern with z zeros has
+    support n - z, so the histogram's rows reversed."""
+    grid = _histogram(patterns, n)
+    return FStarMatrix(r, n, tuple(tuple(row) for row in reversed(grid)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -18,13 +18,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .config import VectorConfig, gen_cyclic, moment_point, new_config
+from .config import VectorConfig, _sample_config, gen_cyclic, moment_point, new_config
 from .errors import (
     BudgetExhaustedError,
     DimensionError,
     GeneralPositionError,
     GenericityError,
-    InconsistentInputError,
 )
 from .exactnum import Mat, Rat, _Record, _row_echelon, cross_product, integer_rescaling, kernel_basis, rat
 from .unipoly import (
@@ -314,20 +313,14 @@ def detect_mutations(v: VectorConfig, w: VectorConfig) -> MotionPath:
     events = []
     for item, t_plus in zip(items, samples):
         raw = _classify(cols, item.subset, item.interval, item.poly, t_plus, False)
+        # a simple root isolated between certified non-roots: the sign flips
         before = item.poly.sign_at(item.interval[0])
-        after = item.poly.sign_at(item.interval[1])
-        if before != -after or before == 0:
-            raise GenericityError(
-                (tuple(i + 1 for i in item.subset),),
-                f"determinant of columns {[i + 1 for i in item.subset]} does not change sign"
-                f" across its root in {[str(x) for x in item.interval]}",
-            )
         events.append(
             MutationEvent(
                 subset=tuple(i + 1 for i in item.subset),
                 interval=item.interval,
                 type_jk=_canonical_type(raw, r, n),
-                sign_flip=(before, after),
+                sign_flip=(before, -before),
             )
         )
     return MotionPath(start=v, end=w, events=tuple(events))
@@ -349,35 +342,29 @@ def classify_event(path: MotionPath, index: int, antipodal: bool = False) -> tup
     return _classify(cols, subset, ev.interval, _det_poly(cols, subset), t_plus, antipodal)
 
 
-def _increment_rows(r: int, n: int, jk: tuple[int, int]) -> list[list[int]]:
-    j, k = jk
-    rows = [[0] * (n - r + 1) for _ in range(r + 1)]
-    if 2 * j != r and 2 * k != n - r:
-        rows[j][k] += 1
-        rows[r - j][n - r - k] += 1
-        rows[r - j][k] -= 1
-        rows[j][n - r - k] -= 1
-    return rows
-
-
 def g_from_motion(v: VectorConfig, w: VectorConfig) -> GMatrix:
     """Sum of per-event increments along the straight-line motion.
+
+    An event of type (j, k) adds the skew-symmetric matrix with +1 at
+    (j, k), which the small g-matrix holds as one entry: +-1 at
+    (min(j, r-j), min(k, n-r-k)), negated once for a mirrored j and once
+    for a mirrored k, and nothing on the middle row or column.  The sum is
+    expanded by gmatrix.full_from_small.
 
     Independent of the algebraic route (g_of_pair), so comparing the two
     is a real check; genericity errors propagate to the caller, which may
     perturb the endpoint and retry.
     """
-    from .gmatrix import GMatrix  # only this route needs gmatrix's imports
+    from .gmatrix import SmallGMatrix, full_from_small  # only this route needs gmatrix's imports
 
     path = detect_mutations(v, w)
-    r, n = v.r, v.n
-    rows = [[0] * (n - r + 1) for _ in range(r + 1)]
-    for ev in path.events:
-        inc = _increment_rows(r, n, ev.type_jk)
-        for j in range(r + 1):
-            for k in range(n - r + 1):
-                rows[j][k] += inc[j][k]
-    return GMatrix(r, n, tuple(tuple(row) for row in rows))
+    r, nr = v.r, v.n - v.r
+    small = [[0] * ((nr - 1) // 2 + 1) for _ in range((r - 1) // 2 + 1)]
+    for j, k in (ev.type_jk for ev in path.events):
+        if 2 * j != r and 2 * k != nr:
+            jj, kk = min(j, r - j), min(k, nr - k)
+            small[jj][kk] += (-1 if jj != j else 1) * (-1 if kk != k else 1)
+    return full_from_small(SmallGMatrix(r, v.n, tuple(tuple(row) for row in small)))
 
 
 def events_to_json(path: MotionPath) -> list[dict]:
@@ -412,19 +399,14 @@ def perturb(
         return w
     rng = random.Random(seed)
     denom = 10**6
-    attempts = 1000
-    for _ in range(attempts):
-        cols = []
-        for j in range(w.n):
-            cols.append([x + mag * Fraction(rng.randint(-denom, denom), denom) for x in w.mat.col(j)])
-        try:
-            return new_config(w.r, w.n, cols)
-        except GeneralPositionError as exc:
-            last = exc
-    raise BudgetExhaustedError(
-        f"could not restore general position while perturbing in {attempts} attempts;"
-        f" in the last, columns {list(last.subset)} were linearly dependent"
-    )
+
+    def draw() -> list[list[Rat]]:
+        return [
+            [x + mag * Fraction(rng.randint(-denom, denom), denom) for x in w.mat.col(j)]
+            for j in range(w.n)
+        ]
+
+    return _sample_config(w.r, w.n, draw, 1000, "restore general position while perturbing")
 
 
 def _affine_coords(points: list[tuple[Rat, ...]], target: list[Rat]) -> list[Rat] | None:
@@ -550,12 +532,6 @@ def mutation_rich_path(n: int, r: int, seed: int) -> list[VectorConfig]:
                 last = f"motion was not generic: {exc}"
                 continue
             if required <= seen:
-                for cfg in outputs:
-                    for i, x in enumerate(cfg.mat.row(0), start=1):
-                        if x != 1:
-                            raise InconsistentInputError(
-                                f"sweep output is not pointed: column {i} has first coordinate {x}"
-                            )
                 return outputs
             last = f"types {sorted(required - seen)} were still missing"
             break
@@ -580,7 +556,6 @@ def _plan_sweeps(
     the cluster) as soon as one crossing lands outside its region.
     """
     d = len(anchors)
-    unorm = sum(x * x for x in normal)
     plans = []
     for sigma, foot in zip(sigmas, line_feet):
         span = rat(1)

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .config import VectorConfig, gen_cocyclic, gen_cyclic, gen_random, moment_point, new_config
-from .errors import DimensionError, GeneralPositionError, InconsistentInputError
+from .config import VectorConfig, _sample_config, gen_cocyclic, gen_cyclic, gen_random, moment_point
+from .errors import DimensionError, InconsistentInputError
 from .exactnum import Mat, Rat, _Record, _row_echelon, rat
 from .faces import f_matrix
 from .gmatrix import g_of_pair, small_from_full
@@ -108,17 +108,12 @@ def _mix(points, weights, d: int) -> tuple[Fraction, ...]:
 def _nudged_lift(n: int, r: int, fixed, loose, seed: int) -> VectorConfig:
     """Homogenize fixed points plus loose ones nudged into general position."""
     rng = random.Random(seed)
-    failure = None
-    for _ in range(500):
-        pts = list(fixed) + [
-            tuple(x + Fraction(rng.randint(-9999, 9999), 10**6) for x in q)
-            for q in loose
-        ]
-        try:
-            return new_config(r, n, [(1, *p) for p in pts])
-        except GeneralPositionError as exc:
-            failure = exc
-    raise failure
+
+    def draw() -> list[tuple]:
+        nudged = [tuple(x + Fraction(rng.randint(-9999, 9999), 10**6) for x in q) for q in loose]
+        return [(1, *p) for p in list(fixed) + nudged]
+
+    return _sample_config(r, n, draw, 500, "nudge the loose points into general position")
 
 
 def _pointed_anchors(n: int, r: int):

@@ -79,12 +79,13 @@ def test_g_via_both_agreement(capsys, pair53):
 
 def test_g_via_both_reports_disagreement(capsys, monkeypatch, pair53):
     src, dst = pair53
-    increment = motion._increment_rows
-    monkeypatch.setattr(
-        motion,
-        "_increment_rows",
-        lambda r, n, jk: [[-x for x in row] for row in increment(r, n, jk)],
-    )
+    detect = motion.detect_mutations
+
+    def every_event_twice(v, w):
+        path = detect(v, w)
+        return motion.MotionPath(start=path.start, end=path.end, events=path.events * 2)
+
+    monkeypatch.setattr(motion, "detect_mutations", every_event_twice)
     code, out, err = run(capsys, ["g", "--from", src, "--to", dst, "--via", "both"])
     assert code == 1
     assert '"agreement": false' in out

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from arrlevels import motion
+from arrlevels import config, motion
 from arrlevels.config import gen_cyclic, gen_random, integer_columns, is_pointed, new_config
 from arrlevels.errors import BudgetExhaustedError, GeneralPositionError, GenericityError
 from arrlevels.faces import f_matrix
@@ -181,8 +181,8 @@ def test_perturb_identity_and_determinism():
 
 def test_perturb_names_its_attempts_and_the_last_dependent_subset(monkeypatch):
     # every perturbed configuration gets its first column twice
-    real = motion.new_config
-    monkeypatch.setattr(motion, "new_config", lambda r, n, cols: real(r, n, [cols[0], *cols[:-1]]))
+    real = config.new_config
+    monkeypatch.setattr(config, "new_config", lambda r, n, cols: real(r, n, [cols[0], *cols[:-1]]))
     with pytest.raises(BudgetExhaustedError) as info:
         perturb(W3, seed=1)
     assert str(info.value) == (

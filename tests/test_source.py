@@ -10,12 +10,13 @@ import arrlevels
 SRC = Path(arrlevels.__file__).parent
 
 
-def _nodes(matches) -> list[str]:
-    found = []
+def _trees():
     for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if matches(node)]
-    return found
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _nodes(matches) -> list[str]:
+    return [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree) if matches(node)]
 
 
 def test_library_has_no_assert_statements():
@@ -32,3 +33,34 @@ def _is_float(node: ast.AST) -> bool:
 def test_library_has_no_floating_point():
     # every count and every root interval is exact; a float would round
     assert _nodes(_is_float) == []
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of fn's own scope, without the bodies of functions nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(fn: ast.AST) -> set[str]:
+    # a nested function may read its parent's locals, so loads count from
+    # the whole body; names starting with _ are unused on purpose
+    stored = {n.id for n in _own_nodes(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    declared = {x for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal)) for x in n.names}
+    return {x for x in stored - read - declared if not x.startswith("_")}
+
+
+def test_library_has_no_unused_locals():
+    # a local that is stored and never read is dead code, or a typo for one that is
+    found = [
+        f"{name}:{node.name}:{local}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for local in sorted(_unused_locals(node))
+    ]
+    assert found == []

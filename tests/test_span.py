@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlevels.config import gen_cocyclic, gen_cyclic, gen_random
-from arrlevels.errors import DimensionError, InconsistentInputError
+from arrlevels import config, span
+from arrlevels.config import gen_cocyclic, gen_cyclic, gen_random, moment_point
+from arrlevels.errors import BudgetExhaustedError, DimensionError, InconsistentInputError
 from arrlevels.exactnum import Mat, rank
 from arrlevels.faces import f_matrix, fstar_matrix
 from arrlevels.gmatrix import SmallGMatrix, full_from_small, g_of_pair, small_from_full
@@ -107,6 +108,19 @@ def test_span_report_serialization():
     assert obj["achieved_rank"] == obj["theoretical_dim"] == 2
     assert len(obj["basis_seeds"]) == 2
     assert all(isinstance(s, str) and "->" in s for s in obj["basis_seeds"])
+
+
+def test_pointed_anchor_names_its_attempts_and_the_last_dependent_subset(monkeypatch):
+    # every nudged point set gets its first column twice, so every attempt fails
+    real = config.new_config
+    monkeypatch.setattr(config, "new_config", lambda r, n, cols: real(r, n, [cols[0], *cols[:-1]]))
+    outer = [moment_point(t, 2) for t in range(4)]
+    with pytest.raises(BudgetExhaustedError) as info:
+        span._nudged_lift(5, 3, outer, [(Fraction(3, 2), Fraction(7, 2))], seed=1)
+    assert str(info.value) == (
+        "could not nudge the loose points into general position in 500 attempts;"
+        " in the last, columns [1, 2, 3] were linearly dependent"
+    )
 
 
 def test_f_affine_span_reaches_dimension():
