@@ -18,6 +18,10 @@ comes in from outside.  The derived configurations (Gale dual, contraction,
 deletion, rescaled column, linear image) are built directly: each is again
 in general position whenever its input is, so checking them would only
 repeat the input's check.
+
+Every count works on integer columns (``integer_columns``), so each
+configuration is reduced to them at most once: ``new_config`` keeps the
+list it checked, and a derived configuration computes it on first use.
 """
 
 from __future__ import annotations
@@ -39,10 +43,12 @@ from .exactnum import Mat, Rat, _Record, det, integer_rescaling, kernel_basis, r
 
 
 class _HashedOnce(_Record):
-    """A record that stores its hash on first use, in a slot that is not
-    one of its fields, so pickle and copy rebuild it without the hash."""
+    """A record that keeps values derived from its fields in slots that are
+    not fields: its hash, stored on first use, and its integer columns
+    (integer_columns).  Equality, repr, pickle and copy see only the
+    fields, so a rebuilt record computes them again when asked."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_icols")
 
     def __hash__(self) -> int:
         try:
@@ -56,7 +62,8 @@ class _HashedOnce(_Record):
 class VectorConfig(_HashedOnce):
     """Immutable rank-r configuration of n column vectors in general position;
     mat is r x n, its columns are the vectors.  It keys the face caches,
-    so it hashes its Fraction entries once."""
+    so it hashes its Fraction entries once, and it keeps its integer
+    columns."""
 
     __slots__ = ("r", "n", "mat")
 
@@ -78,9 +85,16 @@ def integer_columns(v: VectorConfig) -> list[tuple[int, ...]]:
     """Columns rescaled by positive integers to integer vectors.
 
     Positive rescaling never changes a sign pattern, so enumeration code
-    can work in pure integer arithmetic.
+    can work in pure integer arithmetic.  The columns are computed at most
+    once per configuration: new_config stores them while validating, and
+    a derived configuration stores them on first use.
     """
-    return [tuple(integer_rescaling(v.mat.col(j))[1]) for j in range(v.n)]
+    try:
+        icols = v._icols
+    except AttributeError:
+        icols = tuple(tuple(integer_rescaling(v.mat.col(j))[1]) for j in range(v.n))
+        object.__setattr__(v, "_icols", icols)
+    return list(icols)
 
 
 def _first_dependent(rows: list[list[int]], cols: list[int], pivot: int) -> list[int] | None:
@@ -137,19 +151,31 @@ def _check_general_position(r: int, n: int, icols: list[tuple[int, ...]]) -> Non
 
 
 def new_config(r: int, n: int, entries: Sequence[Sequence[int | str | Fraction]]) -> VectorConfig:
-    """Build and validate a configuration from n columns of length r."""
+    """Build and validate a configuration from n columns of length r.
+
+    An all-int column is its own integer column; any other is rescaled
+    once.  The integer columns are checked for general position and kept
+    with the configuration.
+    """
     if r < 1 or n < r:
         raise DimensionError(f"need n >= r >= 1, got r={r}, n={n}")
     if len(entries) != n:
         raise DimensionError(f"expected {n} columns, got {len(entries)}")
     cols = []
+    icols = []
     for idx, col in enumerate(entries, start=1):
         if len(col) != r:
             raise DimensionError(f"column {idx} has length {len(col)}, expected {r}")
-        cols.append(tuple(rat(x) for x in col))
-    mat = Mat(r, n, tuple(tuple(c[i] for c in cols) for i in range(r)))
-    v = VectorConfig(r, n, mat)
-    _check_general_position(r, n, integer_columns(v))
+        # type, not isinstance: a bool entry goes through rat, which rejects it
+        if all(type(x) is int for x in col):
+            icols.append(tuple(col))
+            cols.append(tuple(map(Fraction, col)))
+        else:
+            cols.append(tuple(rat(x) for x in col))
+            icols.append(tuple(integer_rescaling(cols[-1])[1]))
+    _check_general_position(r, n, icols)
+    v = VectorConfig(r, n, Mat(r, n, tuple(zip(*cols))))
+    object.__setattr__(v, "_icols", tuple(icols))
     return v
 
 

@@ -24,6 +24,8 @@ identity checks enumerate only V and W.
 from __future__ import annotations
 
 import math
+import operator
+from functools import lru_cache
 
 from .config import VectorConfig
 from .errors import DimensionError, InconsistentInputError
@@ -83,14 +85,13 @@ class SmallGMatrix(_Record):
 
 
 def satisfies_skew(g: GMatrix) -> bool:
-    r, nr = g.r, g.n - g.r
-    for j in range(r + 1):
-        for k in range(nr + 1):
-            if g.entry(j, k) != -g.entry(r - j, k):
-                return False
-            if g.entry(j, k) != -g.entry(j, nr - k):
-                return False
-    return True
+    """g_{j,k} = -g_{r-j,k} = -g_{j,n-r-k}: each row is the negation of
+    row r-j and of its own reverse."""
+    negated = [tuple(-x for x in row) for row in g.rows]
+    return all(
+        tuple(row) == mirror and tuple(row) == own[::-1]
+        for row, mirror, own in zip(g.rows, reversed(negated), negated)
+    )
 
 
 def small_from_full(g: GMatrix) -> SmallGMatrix:
@@ -131,15 +132,10 @@ def delta_f_from_g(g: GMatrix) -> IntGrid:
     """
     r = g.r
     grid = [[0] * (g.n + 1) for _ in range(r + 1)]
-    scatter(grid, _column_terms(g.rows, r, range(g.n - r + 1)))
+    scatter(grid, ((c, 0, k, j, r - j) for j, row in enumerate(g.rows) for k, c in enumerate(row) if c))
     if any(x != 0 for x in grid[r]):
         raise InconsistentInputError("delta-f has entries at zero-set size r; g is not skew-symmetric")
     return tuple(tuple(row) for row in grid[:r])
-
-
-def _column_terms(rows, r: int, columns):
-    """The scatter terms of g_{j,k} (x+y)^j (1+x)^(r-j) y^k over the given columns."""
-    return ((row[k], 0, k, j, r - j) for k in columns for j, row in enumerate(rows) if row[k])
 
 
 def delta_fstar_from_g(g: GMatrix) -> IntGrid:
@@ -176,35 +172,41 @@ def g_from_fmatrices(fv: FMatrix, fw: FMatrix) -> GMatrix:
 
         g_{j,t} = sum_m rho_m (-1)^(j-m) C(r-m, j-m),
 
-    rho being the remainder's coefficients.  The result must be
-    skew-symmetric, and once every column is scattered the running
-    expansion is delta_f_from_g(g), which must reproduce fw - fv; anything
-    else means the inputs were not genuine f-matrices of configurations.
-    These two checks are the whole input validation: the image of a skew
-    g has zero row sums, so changing any single entry of either input
-    breaks one of them.
+    rho being the remainder's coefficients.  Those signed binomials depend
+    on r alone, so they are tabled once per rank (_inversion_table), and
+    each solved column is scattered as one list.  The result must be
+    skew-symmetric (compared row by row), and once every column is
+    scattered the running expansion is delta_f_from_g(g), which must
+    reproduce fw - fv; anything else means the inputs were not genuine
+    f-matrices of configurations.  These two checks are the whole input
+    validation: the image of a skew g has zero row sums, so changing any
+    single entry of either input breaks one of them.
     """
     if (fv.d, fv.n) != (fw.d, fw.n):
         raise DimensionError("f-matrices have different (d, n)")
     r, n = fv.d + 1, fv.n
-    pascal = [[math.comb(a, b) for b in range(a + 1)] for a in range(r + 1)]
     delta = [[b - a for a, b in zip(row_v, row_w)] for row_v, row_w in zip(fv.rows, fw.rows)]
     delta.append([0] * (n + 1))
     expansion = [[0] * (n + 1) for _ in range(r + 1)]
-    g_rows: list[list[int]] = [[0] * (n - r + 1) for _ in range(r + 1)]
+    columns = []
     for t in range(n - r + 1):
         rho = [row[t] - done[t] for row, done in zip(delta, expansion)]
-        for j, row in enumerate(g_rows):
-            row[t] = sum(
-                rho[m] * pascal[r - m][j - m] * (-1 if (j - m) % 2 else 1) for m in range(j + 1)
-            )
-        scatter(expansion, _column_terms(g_rows, r, (t,)))
-    g = GMatrix(r, n, tuple(tuple(row) for row in g_rows))
+        column = [sum(map(operator.mul, rho, coefficients)) for coefficients in _inversion_table(r)]
+        scatter(expansion, [(c, 0, t, j, r - j) for j, c in enumerate(column) if c])
+        columns.append(column)
+    g = GMatrix(r, n, tuple(zip(*columns)))
     if not satisfies_skew(g):
         raise InconsistentInputError("inverted g violates skew-symmetry; inputs inconsistent")
     if expansion != delta:
         raise InconsistentInputError("g does not reproduce the f-matrix difference; inputs inconsistent")
     return g
+
+
+@lru_cache(maxsize=16)
+def _inversion_table(r: int) -> IntGrid:
+    """Row j holds (-1)^(j-m) C(r-m, j-m) for m = 0..j, the coefficients
+    of g_{j,t} in the remainder rho_0..rho_j."""
+    return tuple(tuple((-1) ** (j - m) * math.comb(r - m, j - m) for m in range(j + 1)) for j in range(r + 1))
 
 
 def g_of_pair(v: VectorConfig, w: VectorConfig) -> GMatrix:

@@ -347,9 +347,10 @@ def g_from_motion(v: VectorConfig, w: VectorConfig) -> GMatrix:
 
     An event of type (j, k) adds the skew-symmetric matrix with +1 at
     (j, k), which the small g-matrix holds as one entry: +-1 at
-    (min(j, r-j), min(k, n-r-k)), negated once for a mirrored j and once
-    for a mirrored k, and nothing on the middle row or column.  The sum is
-    expanded by gmatrix.full_from_small.
+    (j, min(k, n-r-k)), negated for a mirrored k, and nothing on the
+    middle row or column.  No j is mirrored: event types are canonical
+    (_canonical_type), so j <= r/2 already.  The sum is expanded by
+    gmatrix.full_from_small.
 
     Independent of the algebraic route (g_of_pair), so comparing the two
     is a real check; genericity errors propagate to the caller, which may
@@ -362,8 +363,7 @@ def g_from_motion(v: VectorConfig, w: VectorConfig) -> GMatrix:
     small = [[0] * ((nr - 1) // 2 + 1) for _ in range((r - 1) // 2 + 1)]
     for j, k in (ev.type_jk for ev in path.events):
         if 2 * j != r and 2 * k != nr:
-            jj, kk = min(j, r - j), min(k, nr - k)
-            small[jj][kk] += (-1 if jj != j else 1) * (-1 if kk != k else 1)
+            small[j][min(k, nr - k)] += -1 if 2 * k > nr else 1
     return full_from_small(SmallGMatrix(r, v.n, tuple(tuple(row) for row in small)))
 
 

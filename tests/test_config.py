@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -37,7 +39,7 @@ from arrlevels.errors import (
     FileFormatError,
     GeneralPositionError,
 )
-from arrlevels.exactnum import Mat, det
+from arrlevels.exactnum import Mat, det, integer_rescaling
 from arrlevels.faces import f_matrix, fstar_matrix, minor_f_matrices
 
 
@@ -85,6 +87,66 @@ def test_general_position_names_the_first_dependent_subset(case):
     except GeneralPositionError as exc:
         got = exc.subset
     assert got == want
+
+
+# every shape with n <= 9, r <= 5
+_SHAPES = [(n, r) for r in range(1, 6) for n in range(r, 10)]
+_SEEDS = st.integers(0, 2**31 - 1)
+
+
+def _rescaled_columns(v) -> list[tuple[int, ...]]:
+    return [tuple(integer_rescaling(v.mat.col(j))[1]) for j in range(v.n)]
+
+
+@settings(max_examples=60)
+@given(shape=st.sampled_from(_SHAPES), seed=_SEEDS, pointed=st.booleans(), data=st.data())
+def test_integer_columns_are_the_rescaled_columns(shape, seed, pointed, data):
+    n, r = shape
+    v = gen_random(n, r, seed, pointed=pointed)
+    i = data.draw(st.integers(1, n))
+    c = Fraction(data.draw(st.integers(-9, 9).filter(bool)), data.draw(st.integers(1, 9)))
+    # unit upper triangular times a rational diagonal: invertible, with fractional entries
+    diag = [Fraction(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 7))) for _ in range(r)]
+    upper = [[Fraction(data.draw(st.integers(-5, 5)), 3) for _ in range(r)] for _ in range(r)]
+    a = Mat.from_rows([[diag[k] if k == m else upper[k][m] if m > k else 0 for m in range(r)] for k in range(r)])
+    image = transform(v, a)
+    made = [v, scale_column(v, i, c), image, config_from_json(config_to_json(image))]
+    if n > r:
+        made += [gale_dual(v), delete(v, i)]
+    if r >= 2:
+        made.append(contract(v, i))
+    for u in made:
+        assert integer_columns(u) == _rescaled_columns(u)
+        for back in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
+            assert back == u and hash(back) == hash(u)
+            assert integer_columns(back) == integer_columns(u)
+
+
+@settings(max_examples=100)
+@given(shape=st.sampled_from(_SHAPES), seed=_SEEDS, repeat=st.booleans(), data=st.data())
+def test_planted_dependency_names_the_first_singular_subset(shape, seed, repeat, data):
+    n, r = shape
+    cols: list = integer_columns(gen_random(n, r, seed))
+    at = data.draw(st.integers(0, n - 1))
+    others = [j for j in range(n) if j != at]
+    if repeat and r >= 2:
+        cols[at] = cols[data.draw(st.sampled_from(others))]
+    else:
+        picked = data.draw(st.permutations(others))[: r - 1]
+        coeffs = [data.draw(st.integers(-3, 3).filter(bool)) for _ in picked]
+        cols[at] = tuple(sum(k * cols[j][m] for k, j in zip(coeffs, picked)) for m in range(r))
+    # a fractional multiple of the planted column takes the rescaling path
+    q = data.draw(st.integers(1, 4))
+    if q > 1:
+        cols[at] = tuple(Fraction(x, q) for x in cols[at])
+    want = next(
+        tuple(j + 1 for j in subset)
+        for subset in itertools.combinations(range(n), r)
+        if det(Mat.from_rows([[cols[j][m] for j in subset] for m in range(r)])) == 0
+    )
+    with pytest.raises(GeneralPositionError) as info:
+        new_config(r, n, cols)
+    assert info.value.subset == want
 
 
 def test_new_config_rank_one():

@@ -7,7 +7,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlevels.config import gen_random, is_extremal, is_pointed, neighborliness_degree
+from arrlevels.config import gen_cocyclic, gen_random, is_extremal, is_pointed, neighborliness_degree
 from arrlevels.errors import GenericityError
 from arrlevels.faces import dependency_patterns, fstar_from_patterns, fstar_matrix
 from arrlevels.gmatrix import g_of_pair
@@ -52,3 +52,20 @@ def test_routes_agree_on_random_configurations(shape, seeds, pointed):
     except GenericityError:
         return
     assert traced.rows == g_of_pair(v, w).rows
+
+
+# three fixed seeds for every shape with r < n <= 8, r <= 4
+FOLD_CASES = [(n, r, 1000 * n + 100 * r + i) for r in range(1, 5) for n in range(r + 1, 9) for i in range(3)]
+
+
+def test_motion_fold_agrees_on_pairs_with_nonzero_g():
+    # random pairs at these shapes mostly have g = 0, which cannot show a
+    # wrong fold into the small g-matrix; the cocyclic start differs from
+    # a random end in most cases
+    nonzero = 0
+    for n, r, seed in FOLD_CASES:
+        v, w = gen_cocyclic(n, r), gen_random(n, r, seed)
+        g = g_of_pair(v, w)
+        assert g_from_motion(v, w).rows == g.rows, (n, r, seed)
+        nonzero += not g.is_zero()
+    assert 3 * nonzero >= 2 * len(FOLD_CASES)

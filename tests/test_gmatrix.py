@@ -183,6 +183,10 @@ def test_inversion_round_trip_random_skew():
         g = _random_skew(rng, 3, 6)
         shifted = _add_grid(base, delta_f_from_g(g))
         assert g_from_fmatrices(base, shifted).rows == g.rows
+        # delta_f_from_g and the inversion share relations.scatter, so a
+        # fault there can cancel; the polynomial expansion shares nothing
+        independent = _add_grid(base, _delta_f_by_expansion(g))
+        assert g_from_fmatrices(base, independent).rows == g.rows
 
 
 @st.composite

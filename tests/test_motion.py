@@ -17,6 +17,7 @@ from arrlevels.faces import f_matrix
 from arrlevels.exactnum import Mat, det
 from arrlevels.gmatrix import g_from_fmatrices, g_of_pair
 from arrlevels.motion import (
+    _canonical_type,
     _cross_polys,
     _det_poly,
     _moving_columns,
@@ -138,6 +139,18 @@ def test_per_event_f_jump_matches_type():
             for t in range(n + 1):
                 got = got.add(BiPoly.monomial(s, t, after.entry(s, t) - before.entry(s, t)))
         assert got == want
+
+
+def test_canonical_type_never_mirrors_j():
+    # g_from_motion adds each event at row j with no sign for a mirrored j;
+    # that is sound only while every canonical type has j <= r/2
+    for r in range(1, 9):
+        for n in range(r, 15):
+            for j in range(r + 1):
+                for k in range(n - r + 1):
+                    cj, ck = _canonical_type((j, k), r, n)
+                    assert 2 * cj <= r, (r, n, j, k)
+                    assert (cj, ck) in ((j, k), (r - j, n - r - k))
 
 
 def test_flip_sign_at_interval_ends():

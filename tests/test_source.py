@@ -64,3 +64,38 @@ def test_library_has_no_unused_locals():
         for local in sorted(_unused_locals(node))
     ]
     assert found == []
+
+
+def _object_setattr_calls(node: ast.AST, fn: str | None = None):
+    """(enclosing function name, call) for each object.__setattr__ call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _object_setattr_calls(child, child.name)
+            continue
+        func = getattr(child, "func", None)
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(func, ast.Attribute)
+            and func.attr == "__setattr__"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "object"
+        ):
+            yield fn, child
+        yield from _object_setattr_calls(child, fn)
+
+
+def test_records_write_only_declared_cache_slots():
+    # records refuse assignment; object.__setattr__ gets round that, so it
+    # may set fields while a record is built, and afterwards only fill the
+    # cache slots that equality, hashing and pickling never read
+    from arrlevels.config import _HashedOnce
+
+    allowed = set(_HashedOnce.__slots__)
+    calls = [(name, fn, call) for name, tree in _trees() for fn, call in _object_setattr_calls(tree)]
+    assert any(fn != "__init__" for _, fn, _ in calls)  # the walk sees the cache writes
+    found = []
+    for name, fn, call in calls:
+        slot = call.args[1] if len(call.args) == 3 else None
+        if fn != "__init__" and not (isinstance(slot, ast.Constant) and slot.value in allowed):
+            found.append(f"{name}:{call.lineno}")
+    assert found == []
