@@ -44,9 +44,14 @@ from .exactnum import Mat, Rat, _Record, det, integer_rescaling, kernel_basis, r
 
 class _HashedOnce(_Record):
     """A record that keeps values derived from its fields in slots that are
-    not fields: its hash, stored on first use, and its integer columns
-    (integer_columns).  Equality, repr, pickle and copy see only the
-    fields, so a rebuilt record computes them again when asked."""
+    not fields: its integer columns (integer_columns) and its hash, stored
+    on first use.  Equality, repr, pickle and copy see only the fields, so
+    a rebuilt record computes them again when asked.
+
+    The hash is that of (r, n, integer columns), int tuples that hash
+    faster than the Fraction entries.  Equal records have equal columns,
+    hence equal integer columns and equal hashes; proportional ones may
+    share a hash and still compare unequal."""
 
     __slots__ = ("_hash", "_icols")
 
@@ -54,7 +59,7 @@ class _HashedOnce(_Record):
         try:
             return self._hash
         except AttributeError:
-            h = hash(self._fields())
+            h = hash((self.r, self.n, tuple(integer_columns(self))))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -62,8 +67,7 @@ class _HashedOnce(_Record):
 class VectorConfig(_HashedOnce):
     """Immutable rank-r configuration of n column vectors in general position;
     mat is r x n, its columns are the vectors.  It keys the face caches,
-    so it hashes its Fraction entries once, and it keeps its integer
-    columns."""
+    so it hashes once, by its integer columns, which it keeps."""
 
     __slots__ = ("r", "n", "mat")
 

@@ -12,7 +12,10 @@ Everything downstream computes with these building blocks:
   determinant, rank, and right-kernel computations.  Determinants go
   through fraction-free (Bareiss) elimination on an integer rescaling of
   the rows, which keeps intermediate values small at the sizes used here
-  (up to roughly 10x10).
+  (up to roughly 10x10).  ``_int_echelon`` is the same elimination for the
+  pivot columns of a rectangular integer matrix (``span.greedy_basis``);
+  rank and kernels stay on the ``Fraction`` row echelon form, which the
+  tests keep as the integer pivots' oracle.
 * ``cross_product`` gives signed maximal minors using only + - *, so it
   serves integer rows (vertex normals) and ``UniPoly`` rows (moving columns).
 
@@ -281,6 +284,39 @@ def _row_echelon(m: Mat) -> tuple[list[list[Rat]], list[int]]:
         if pr == m.nrows:
             break
     return rows, pivots
+
+
+def _int_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix;
+    returns (rows, pivot column indices).
+
+    After k pivots, each entry below them is the minor of the input on the
+    pivot rows and columns plus its own row and column (Sylvester's
+    identity), so every division by the previous pivot is exact and an
+    entry is zero exactly when that minor is.  The pivot columns are
+    therefore those of the rational row echelon form.
+    """
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(a[0]) if a else 0):
+        pr = len(pivots)
+        if pr == len(a):
+            break
+        for i in range(pr, len(a)):
+            if a[i][c]:
+                break
+        else:
+            continue
+        a[pr], a[i] = a[i], a[pr]
+        top = a[pr]
+        pivot = top[c]
+        for i in range(pr + 1, len(a)):
+            x = a[i][c]
+            a[i] = [(pivot * y - x * t) // prev for y, t in zip(a[i], top)]
+        prev = pivot
+        pivots.append(c)
+    return a, pivots
 
 
 def rank(m: Mat) -> int:

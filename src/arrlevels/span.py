@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .config import VectorConfig, _sample_config, gen_cocyclic, gen_cyclic, gen_random, moment_point
 from .errors import DimensionError, InconsistentInputError
-from .exactnum import Mat, Rat, _Record, _row_echelon, rat
+from .exactnum import Rat, _Record, _int_echelon, integer_rescaling, rat
 from .faces import f_matrix
 from .gmatrix import g_of_pair, small_from_full
 
@@ -69,18 +69,22 @@ def theoretical_dim(n: int, r: int, mode: str) -> int:
 
 def greedy_basis(vectors: Sequence[Sequence[Rat | int | str]]) -> list[int]:
     """Indices of a maximal independent subfamily, greedy in input order:
-    the pivot columns of the matrix with the vectors as its columns."""
-    rows = [tuple(rat(x) for x in vec) for vec in vectors]
-    if not rows:
+    the pivot columns of the matrix with the vectors as its columns.
+
+    Each vector is rescaled to integers by a positive factor, which moves
+    no pivot, and the pivots come from fraction-free elimination."""
+    cols = [integer_rescaling([rat(x) for x in vec])[1] for vec in vectors]
+    if not cols:
         return []
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
+    width = len(cols[0])
+    if any(len(col) != width for col in cols):
         raise DimensionError("input vectors differ in length")
-    return _row_echelon(Mat(width, len(rows), tuple(zip(*rows))))[1]
+    return _int_echelon(list(zip(*cols)))[1]
 
 
 def exact_rank(vectors: Sequence[Sequence[Rat | int | str]]) -> int:
-    """Rank over the rationals of a family of equal-length vectors."""
+    """Rank over the rationals of a family of equal-length vectors: the
+    size of its greedy basis, from the same integer elimination."""
     return len(greedy_basis(vectors))
 
 

@@ -115,8 +115,16 @@ def test_integer_columns_are_the_rescaled_columns(shape, seed, pointed, data):
         made += [gale_dual(v), delete(v, i)]
     if r >= 2:
         made.append(contract(v, i))
+    # the same columns given as ints and as "2k/2" strings
+    ints = integer_columns(v)
+    halves = config_from_json({"r": r, "n": n, "vectors": [[f"{2 * x}/2" for x in col] for col in ints]})
+    whole = new_config(r, n, ints)
+    assert halves == whole and hash(halves) == hash(whole)
+    made.append(halves)
     for u in made:
         assert integer_columns(u) == _rescaled_columns(u)
+        # the hash is that of the integer columns
+        assert hash(u) == hash((u.r, u.n, tuple(integer_columns(u))))
         for back in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
             assert back == u and hash(back) == hash(u)
             assert integer_columns(back) == integer_columns(u)

@@ -10,7 +10,18 @@ from hypothesis import strategies as st
 
 from arrlevels import unipoly
 from arrlevels.errors import BoundaryRootError, DegeneratePolynomialError, DimensionError
-from arrlevels.exactnum import Mat, _int_det, cross_product, det, kernel_basis, rank, rat, rat_str
+from arrlevels.exactnum import (
+    Mat,
+    _int_det,
+    _int_echelon,
+    _row_echelon,
+    cross_product,
+    det,
+    kernel_basis,
+    rank,
+    rat,
+    rat_str,
+)
 from arrlevels.unipoly import (
     UniPoly,
     bisect_root_interval,
@@ -123,6 +134,36 @@ def test_kernel_basis_full():
     k = kernel_basis(Mat.zeros(1, 2))
     assert k.ncols == 2
     assert rank(k) == 2
+
+
+@st.composite
+def _int_matrix(draw):
+    # each row is drawn freely or is a combination of the rows before it
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows: list[list[int]] = []
+    for _ in range(h):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(w)])
+        else:
+            rows.append(draw(st.lists(st.integers(-30, 30), min_size=w, max_size=w)))
+    return rows
+
+
+_SQUARE = st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-30, 30), min_size=k, max_size=k), min_size=k, max_size=k)
+)
+
+
+@settings(max_examples=150)
+@given(_int_matrix(), _SQUARE)
+def test_int_echelon_pivots_are_the_rational_ones(rows, square):
+    assert _int_echelon(rows)[1] == _row_echelon(Mat.from_rows(rows))[1]
+    # its entries are minors of the input, so a square matrix ends in its
+    # determinant, up to the sign of the row swaps
+    echelon, pivots = _int_echelon(square)
+    assert pivots == _row_echelon(Mat.from_rows(square))[1]
+    assert abs(echelon[-1][-1]) == abs(_int_det(square))
 
 
 def test_rank_examples():

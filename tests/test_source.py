@@ -66,6 +66,31 @@ def test_library_has_no_unused_locals():
     assert found == []
 
 
+def _unused_imports(scope: ast.AST) -> set[str]:
+    # the names bound by the imports of scope's own body, read nowhere in it;
+    # the package's public names are bound by __getattr__, not by imports
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in _own_nodes(scope)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    return bound - read
+
+
+def test_library_has_no_unused_imports():
+    # an import that nothing reads costs load time and hides what a module needs
+    found = [
+        f"{name}:{getattr(scope, 'name', '<module>')}:{imported}"
+        for name, tree in _trees()
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef))
+        for imported in sorted(_unused_imports(scope))
+    ]
+    assert found == []
+
+
 def _object_setattr_calls(node: ast.AST, fn: str | None = None):
     """(enclosing function name, call) for each object.__setattr__ call under node."""
     for child in ast.iter_child_nodes(node):

@@ -61,20 +61,24 @@ def test_greedy_basis_rejects_ragged_input():
 
 
 _RATS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+# integers up to 10**6 push the fraction-free minors past 64 bits
+_ENTRIES = st.one_of(_RATS, st.integers(-(10**6), 10**6).map(Fraction))
 
 
 @settings(max_examples=150)
 @given(data=st.data(), width=st.integers(1, 5), size=st.integers(1, 8))
 def test_greedy_basis_is_the_rank_increasing_prefix(data, width, size):
     # a family with dependent members: each new vector is either drawn
-    # freely or a random combination of the ones before it
+    # freely, zero, or a random combination of the ones before it
     vs: list[tuple[Fraction, ...]] = []
     for _ in range(size):
         if vs and data.draw(st.booleans()):
             coeffs = data.draw(st.lists(_RATS, min_size=len(vs), max_size=len(vs)))
             vs.append(tuple(sum(c * v[k] for c, v in zip(coeffs, vs)) for k in range(width)))
+        elif data.draw(st.integers(0, 5)) == 0:
+            vs.append((Fraction(0),) * width)
         else:
-            vs.append(tuple(data.draw(st.lists(_RATS, min_size=width, max_size=width))))
+            vs.append(tuple(data.draw(st.lists(_ENTRIES, min_size=width, max_size=width))))
     basis = greedy_basis(vs)
     assert len(basis) == exact_rank(vs) == rank(Mat.from_rows(vs))
     assert basis == [i for i in range(size) if rank(Mat.from_rows(vs[: i + 1])) > rank(Mat.from_rows(vs[:i]))]
